@@ -11,7 +11,8 @@
 # additionally gate compiled-vs-legacy single-shot parity, the lifted
 # safe-plan rung (1e-9 parity with the circuit rung plus a >= 10x
 # speedup on the chain query at 10^4 facts), the columnar fact store
-# (<= 48 bytes/fact at 10^7 facts, >= 5x grounding speedup over the
+# (<= 48 bytes/fact at 10^7 facts as a bare store and as a registered
+# TiPdb instance, >= 5x grounding speedup over the
 # legacy object-per-tuple path, incremental re-query >= 10x faster than
 # cold), crash-safe durability (the fault leg drives durability_crash
 # through injected dur.* failures, a real kill -9, and a torn WAL tail,
@@ -247,9 +248,11 @@ EOF
 
 echo "=== columnar storage gates (Release) ==="
 # Three claims from the storage layer, measured by storage_bench:
-#  * a 10M-fact binary-relation TI fits in <= 48 bytes/fact
-#    (dictionary-encoded columns vs ~112 bytes for the object-per-tuple
-#    FactList view);
+#  * a 10M-fact binary-relation TI fits in <= 48 bytes/fact, both as a
+#    bare store (ApproxBytes of the dictionary-encoded columns) and as a
+#    TiPdb instance (resident growth across Builder::Finish +
+#    TiPdbD::FromStore: a TiPdb is a view that keeps nothing per fact
+#    beside its store);
 #  * grounding a 64-atom disjunction against 10^6 facts is >= 5x faster
 #    columnar (dictionary probes + binary search per atom) than legacy
 #    (which materializes a std::map over the whole instance per call);
@@ -270,6 +273,11 @@ bpf = rows["BM_ColumnarBuild/10000000"]["counters"]["bytes_per_fact"]
 verdict = "ok" if bpf <= 48.0 else "FAIL (> 48)"
 print(f"  bytes/fact at 10^7 facts:      {bpf:6.2f}     {verdict}")
 failed |= bpf > 48.0
+
+inst = rows["BM_InstanceBuild/10000000"]["counters"]["resident_bytes_per_fact"]
+verdict = "ok" if inst <= 48.0 else "FAIL (> 48)"
+print(f"  instance resident bytes/fact:  {inst:6.2f}     {verdict}")
+failed |= inst > 48.0
 
 ground = (rows["BM_GroundLegacy"]["ns_per_op"]
           / rows["BM_GroundColumnar"]["ns_per_op"])

@@ -268,6 +268,16 @@ Rational Rational::Pow(int64_t exponent) const {
   return Rational(std::move(n), std::move(d), CanonicalTag());
 }
 
+Rational Rational::FromDouble(double value) {
+  IPDB_CHECK(std::isfinite(value)) << "FromDouble needs a finite double";
+  // value = mantissa · 2^exponent with |mantissa| in [0.5, 1), so
+  // mantissa · 2^53 is an integer.
+  int exponent = 0;
+  const double mantissa = std::frexp(value, &exponent);
+  return Rational(static_cast<int64_t>(std::ldexp(mantissa, 53))) *
+         Rational(2).Pow(exponent - 53);
+}
+
 double Rational::ToDouble() const {
   if (numerator_.is_inline() && denominator_.is_inline()) {
     return static_cast<double>(numerator_.inline_value()) /

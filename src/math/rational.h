@@ -51,6 +51,10 @@ class Rational {
     return Rational(BigInt(numerator), BigInt(denominator));
   }
 
+  /// The exact value of a finite double (every double is a dyadic
+  /// rational m·2^e).
+  static Rational FromDouble(double value);
+
   const BigInt& numerator() const { return numerator_; }
   const BigInt& denominator() const { return denominator_; }
 

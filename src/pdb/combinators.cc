@@ -1,6 +1,7 @@
 #include "pdb/combinators.h"
 
 #include <algorithm>
+#include <iterator>
 #include <set>
 #include <utility>
 
@@ -53,8 +54,9 @@ StatusOr<TiPdb<P>> TiUnion(const TiPdb<P>& a, const TiPdb<P>& b) {
   if (!(a.schema() == b.schema())) {
     return InvalidArgumentError("union requires a common schema");
   }
-  typename TiPdb<P>::FactList facts = a.facts();
-  for (const auto& fact : b.facts()) facts.push_back(fact);
+  typename TiPdb<P>::FactList facts;
+  std::ranges::copy(a.facts(), std::back_inserter(facts));
+  std::ranges::copy(b.facts(), std::back_inserter(facts));
   return TiPdb<P>::Create(a.schema(), std::move(facts));
 }
 

@@ -34,8 +34,8 @@ double ShannonEntropy(const FinitePdb<P>& pdb) {
 template <typename P>
 double TiEntropy(const TiPdb<P>& ti) {
   double entropy = 0.0;
-  for (const auto& [fact, marginal] : ti.facts()) {
-    entropy += BinaryEntropy(ProbTraits<P>::ToDouble(marginal));
+  for (int64_t i = 0; i < ti.num_facts(); ++i) {
+    entropy += BinaryEntropy(ti.store()->ProbAt(i));
   }
   return entropy;
 }

@@ -8,25 +8,29 @@
 namespace ipdb {
 namespace pdb {
 
+namespace {
+
+/// Backs every default-constructed TiPdb, so store() is never null.
+const std::shared_ptr<const storage::TiStore>& EmptyStore() {
+  static const std::shared_ptr<const storage::TiStore> empty =
+      storage::TiStore::Builder(rel::Schema()).Finish().value();
+  return empty;
+}
+
+}  // namespace
+
+template <typename P>
+TiPdb<P>::TiPdb() : store_(EmptyStore()) {}
+
 template <typename P>
 StatusOr<TiPdb<P>> TiPdb<P>::Create(rel::Schema schema, FactList facts) {
-  using Traits = ProbTraits<P>;
-  // Validation rides on the columnar build: schema and range checks
-  // inline (preserving the legacy error order), distinctness via the
-  // per-relation sort in Builder::Finish instead of a std::set probe
-  // per fact.
-  storage::TiStore::Builder builder(schema);
+  // Validation is the columnar build's: the Builder reports the first
+  // schema or range error in list order, and Finish detects duplicates
+  // by the per-relation sort instead of a std::set probe per fact.
+  storage::TiStore::Builder builder(std::move(schema));
   builder.Reserve(static_cast<int64_t>(facts.size()));
   for (const auto& [fact, marginal] : facts) {
-    if (!fact.MatchesSchema(schema)) {
-      return InvalidArgumentError("fact does not match the schema: " +
-                                  fact.ToString(schema));
-    }
-    if (!Traits::IsNonNegative(marginal) ||
-        Traits::ToDouble(marginal) > 1.0 + 1e-12) {
-      return InvalidArgumentError("marginal probability outside [0, 1]");
-    }
-    if constexpr (Traits::kExact) {
+    if constexpr (ProbTraits<P>::kExact) {
       builder.AddExact(fact, marginal);
     } else {
       builder.Add(fact, marginal);
@@ -34,11 +38,7 @@ StatusOr<TiPdb<P>> TiPdb<P>::Create(rel::Schema schema, FactList facts) {
   }
   StatusOr<std::shared_ptr<storage::TiStore>> store = builder.Finish();
   if (!store.ok()) return store.status();
-  TiPdb result;
-  result.schema_ = std::move(schema);
-  result.facts_ = std::move(facts);
-  result.store_ = std::move(store).value();
-  return result;
+  return TiPdb(std::move(store).value());
 }
 
 template <typename P>
@@ -52,60 +52,50 @@ template <typename P>
 StatusOr<TiPdb<P>> TiPdb<P>::FromStore(
     std::shared_ptr<const storage::TiStore> store) {
   if (store == nullptr) return InvalidArgumentError("null store");
-  TiPdb result;
-  result.schema_ = store->schema();
-  result.facts_.reserve(static_cast<size_t>(store->num_facts()));
-  for (int64_t i = 0; i < store->num_facts(); ++i) {
-    if constexpr (ProbTraits<P>::kExact) {
-      const math::Rational* exact = store->ExactAt(i);
-      if (exact == nullptr) {
+  if constexpr (ProbTraits<P>::kExact) {
+    for (rel::RelationId r = 0; r < store->schema().num_relations(); ++r) {
+      if (store->table(r).num_exact() != store->table(r).num_rows()) {
         return FailedPreconditionError(
             "exact TiPdb view requires an exact marginal for every stored "
             "fact");
       }
-      result.facts_.emplace_back(store->FactAt(i), *exact);
-    } else {
-      result.facts_.emplace_back(store->FactAt(i), store->ProbAt(i));
     }
   }
-  result.store_ = std::move(store);
-  return result;
+  return TiPdb(std::move(store));
+}
+
+template <typename P>
+P TiPdb<P>::MarginalAt(const storage::TiStore& store, int64_t i) {
+  if constexpr (ProbTraits<P>::kExact) {
+    const math::Rational* exact = store.ExactAt(i);
+    return exact != nullptr ? *exact
+                            : math::Rational::FromDouble(store.ProbAt(i));
+  } else {
+    return store.ProbAt(i);
+  }
 }
 
 template <typename P>
 P TiPdb<P>::Marginal(const rel::Fact& fact) const {
-  if (store_ != nullptr) {
-    // Binary search in the columnar store; the view's value is returned
-    // so exactness and above-one tolerance behave exactly as before.
-    const int64_t i = store_->FindFact(fact);
-    return i < 0 ? ProbTraits<P>::Zero()
-                 : facts_[static_cast<size_t>(i)].second;
-  }
-  for (const auto& [candidate, marginal] : facts_) {
-    if (candidate == fact) return marginal;
-  }
-  return ProbTraits<P>::Zero();
+  const int64_t i = store_->FindFact(fact);
+  return i < 0 ? ProbTraits<P>::Zero() : MarginalAt(*store_, i);
 }
 
 template <typename P>
 P TiPdb<P>::WorldProbability(const rel::Instance& instance) const {
   // Every fact of the instance must be in the fact set.
+  std::vector<bool> present(static_cast<size_t>(num_facts()), false);
   for (const rel::Fact& f : instance.facts()) {
-    bool found = false;
-    for (const auto& [candidate, marginal] : facts_) {
-      if (candidate == f) {
-        found = true;
-        break;
-      }
-    }
-    if (!found) return ProbTraits<P>::Zero();
+    const int64_t i = store_->FindFact(f);
+    if (i < 0) return ProbTraits<P>::Zero();
+    present[static_cast<size_t>(i)] = true;
   }
   P probability = ProbTraits<P>::One();
-  for (const auto& [fact, marginal] : facts_) {
-    if (instance.Contains(fact)) {
-      probability *= marginal;
+  for (int64_t i = 0; i < num_facts(); ++i) {
+    if (present[static_cast<size_t>(i)]) {
+      probability *= MarginalAt(*store_, i);
     } else {
-      probability *= ProbTraits<P>::One() - marginal;
+      probability *= ProbTraits<P>::One() - MarginalAt(*store_, i);
     }
   }
   return probability;
@@ -114,7 +104,7 @@ P TiPdb<P>::WorldProbability(const rel::Instance& instance) const {
 template <typename P>
 P TiPdb<P>::MarginalSum() const {
   P total = ProbTraits<P>::Zero();
-  for (const auto& [fact, marginal] : facts_) total += marginal;
+  for (int64_t i = 0; i < num_facts(); ++i) total += MarginalAt(*store_, i);
   return total;
 }
 
@@ -125,13 +115,13 @@ StatusOr<FinitePdb<P>> TiPdb<P>::TryExpand() const {
   // expansion.
   std::vector<rel::Fact> certain;
   std::vector<std::pair<rel::Fact, P>> uncertain;
-  for (const auto& [fact, marginal] : facts_) {
+  for (auto [fact, marginal] : facts()) {
     if (ProbTraits<P>::IsZero(marginal)) continue;
     if (ProbTraits<P>::IsOne(marginal) &&
         ProbTraits<P>::ToDouble(marginal) >= 1.0) {
-      certain.push_back(fact);
+      certain.push_back(std::move(fact));
     } else {
-      uncertain.emplace_back(fact, marginal);
+      uncertain.emplace_back(std::move(fact), std::move(marginal));
     }
   }
   if (uncertain.size() > 20u) {
@@ -157,7 +147,7 @@ StatusOr<FinitePdb<P>> TiPdb<P>::TryExpand() const {
     worlds.emplace_back(rel::Instance(std::move(chosen)),
                         std::move(probability));
   }
-  return FinitePdb<P>::CreateOrDie(schema_, std::move(worlds));
+  return FinitePdb<P>::CreateOrDie(schema(), std::move(worlds));
 }
 
 template <typename P>
@@ -170,9 +160,9 @@ FinitePdb<P> TiPdb<P>::Expand() const {
 template <typename P>
 rel::Instance TiPdb<P>::Sample(Pcg32* rng) const {
   std::vector<rel::Fact> chosen;
-  for (const auto& [fact, marginal] : facts_) {
-    if (rng->NextBernoulli(ProbTraits<P>::ToDouble(marginal))) {
-      chosen.push_back(fact);
+  for (int64_t i = 0; i < num_facts(); ++i) {
+    if (rng->NextBernoulli(store_->ProbAt(i))) {
+      chosen.push_back(store_->FactAt(i));
     }
   }
   return rel::Instance(std::move(chosen));
@@ -181,9 +171,9 @@ rel::Instance TiPdb<P>::Sample(Pcg32* rng) const {
 template <typename P>
 std::vector<double> TiPdb<P>::SizeDistribution() const {
   std::vector<double> marginals;
-  marginals.reserve(facts_.size());
-  for (const auto& [fact, marginal] : facts_) {
-    marginals.push_back(ProbTraits<P>::ToDouble(marginal));
+  marginals.reserve(static_cast<size_t>(num_facts()));
+  for (int64_t i = 0; i < num_facts(); ++i) {
+    marginals.push_back(store_->ProbAt(i));
   }
   return prob::PoissonBinomialPmf(marginals);
 }
@@ -196,8 +186,8 @@ double TiPdb<P>::SizeMoment(int k) const {
 template <typename P>
 std::string TiPdb<P>::ToString() const {
   std::string out;
-  for (const auto& [fact, marginal] : facts_) {
-    out += fact.ToString(schema_) + " : " +
+  for (const auto& [fact, marginal] : facts()) {
+    out += fact.ToString(schema()) + " : " +
            ProbTraits<P>::ToString(marginal) + "\n";
   }
   return out;

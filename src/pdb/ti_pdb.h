@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <ranges>
 #include <string>
 #include <utility>
 #include <vector>
@@ -29,18 +30,20 @@ namespace pdb {
 /// probabilities. Represented by the marginals alone; the induced sample
 /// space is the power set of the fact set.
 ///
-/// Storage: `Create` builds a columnar, dictionary-encoded
-/// storage::TiStore (the representation the grounding and lifted engines
-/// scan) and keeps the caller's FactList as a compatibility view — the
-/// view preserves insertion order, so sampling streams and double
-/// accumulation orders are bit-identical to the pre-columnar engine.
-/// Fact i of the view is global fact i of the store.
+/// Storage: a TiPdb is a typed view over a shared columnar
+/// storage::TiStore and holds no per-fact state of its own. Fact i of the
+/// view is global fact i of the store (insertion order across
+/// relations), so sampling streams and double accumulation orders follow
+/// the order the facts were added. The view reflects its store: a
+/// mutation made through another handle to the store (Insert, Erase,
+/// UpdateProbability) is seen by every TiPdb that wraps it.
 template <typename P>
 class TiPdb {
  public:
   using FactList = std::vector<std::pair<rel::Fact, P>>;
 
-  TiPdb() = default;
+  /// The empty TI-PDB over the empty schema.
+  TiPdb();
 
   /// Validates: facts distinct and matching the schema, marginals in
   /// [0, 1].
@@ -48,19 +51,29 @@ class TiPdb {
   static TiPdb CreateOrDie(rel::Schema schema, FactList facts);
 
   /// Wraps an existing columnar store (e.g. one that went through live
-  /// mutators), materializing the compatibility view from its columns.
-  /// For P = math::Rational every fact must carry an exact side-table
-  /// entry (kFailedPrecondition otherwise).
+  /// mutators) in O(1). For P = math::Rational every fact must carry an
+  /// exact side-table entry (kFailedPrecondition otherwise).
   static StatusOr<TiPdb> FromStore(
       std::shared_ptr<const storage::TiStore> store);
 
-  const rel::Schema& schema() const { return schema_; }
-  const FactList& facts() const { return facts_; }
-  int64_t num_facts() const { return static_cast<int64_t>(facts_.size()); }
+  const rel::Schema& schema() const { return store_->schema(); }
+  int64_t num_facts() const { return store_->num_facts(); }
 
-  /// The columnar backing store; null only for a default-constructed
-  /// TiPdb. Hot consumers (grounding, the lifted engine, benches) scan
-  /// this instead of the object-per-tuple view.
+  /// Read-only view of the facts in global order: element i is
+  /// materialized from the store's columns as a (fact, marginal) pair
+  /// only when it is read. The view shares ownership of the store, so it
+  /// may outlive this TiPdb; it spans the facts the store held when it
+  /// was taken.
+  auto facts() const {
+    return std::views::iota(int64_t{0}, num_facts()) |
+           std::views::transform([store = store_](int64_t i) {
+             return std::pair<rel::Fact, P>(store->FactAt(i),
+                                            MarginalAt(*store, i));
+           });
+  }
+
+  /// The columnar backing store, never null. Hot consumers (grounding,
+  /// the lifted engine, benches) scan its columns directly.
   const std::shared_ptr<const storage::TiStore>& store() const {
     return store_;
   }
@@ -98,8 +111,14 @@ class TiPdb {
   std::string ToString() const;
 
  private:
-  rel::Schema schema_;
-  FactList facts_;
+  explicit TiPdb(std::shared_ptr<const storage::TiStore> store)
+      : store_(std::move(store)) {}
+
+  /// Marginal of global fact i. For P = math::Rational a fact whose exact
+  /// entry a later double-valued mutation cleared reads as the exact
+  /// value of its stored double.
+  static P MarginalAt(const storage::TiStore& store, int64_t i);
+
   std::shared_ptr<const storage::TiStore> store_;
 };
 

@@ -30,7 +30,7 @@ StatusOr<std::vector<std::pair<rel::Instance, double>>> TopKWorlds(
   std::vector<Flip> flips(n);
   double mode_probability = 1.0;
   for (int64_t i = 0; i < n; ++i) {
-    double p = ti.facts()[i].second;
+    double p = ti.store()->ProbAt(i);
     bool take = p >= 0.5;
     mode_probability *= take ? p : 1.0 - p;
     double hi = std::max(p, 1.0 - p);
@@ -77,7 +77,7 @@ StatusOr<std::vector<std::pair<rel::Instance, double>>> TopKWorlds(
     for (int j = 0; j < n; ++j) {
       bool flipped = (top.mask >> j) & 1;
       bool present = flips[j].in_mode != flipped;
-      if (present) facts.push_back(ti.facts()[flips[j].fact].first);
+      if (present) facts.push_back(ti.store()->FactAt(flips[j].fact));
     }
     result.emplace_back(rel::Instance(std::move(facts)), top.probability);
     // Successors: flip any bit above the highest set bit (enumerates

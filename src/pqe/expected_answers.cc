@@ -1,7 +1,6 @@
 #include "pqe/expected_answers.h"
 
 #include <algorithm>
-#include <set>
 #include <utility>
 
 #include "pqe/wmc.h"
@@ -28,13 +27,11 @@ StatusOr<std::vector<RankedAnswer>> EnumerateAnswers(
     }
   }
   // Candidate values: adom of the fact set plus query constants.
-  std::set<rel::Value> candidate_set;
-  for (const auto& [fact, marginal] : ti.facts()) {
-    for (const rel::Value& v : fact.args()) candidate_set.insert(v);
-  }
-  for (const rel::Value& v : query.Constants()) candidate_set.insert(v);
-  std::vector<rel::Value> candidates(candidate_set.begin(),
-                                     candidate_set.end());
+  std::vector<rel::Value> candidates = ti.store()->SortedDomain();
+  for (const rel::Value& v : query.Constants()) candidates.push_back(v);
+  std::sort(candidates.begin(), candidates.end());
+  candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                   candidates.end());
 
   std::vector<RankedAnswer> answers;
   if (head_vars.empty()) {

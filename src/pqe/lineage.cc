@@ -388,12 +388,7 @@ void FinishDomain(const logic::Formula& sentence,
 StatusOr<NodeId> GroundSentence(const pdb::TiPdb<double>& ti,
                                 const logic::Formula& sentence,
                                 Lineage* lineage) {
-  // Global store index i is exactly facts()[i], so the columnar path
-  // yields the same variable numbering.
-  if (ti.store() != nullptr) {
-    return GroundSentence(*ti.store(), sentence, lineage);
-  }
-  return GroundSentenceLegacy(ti, sentence, lineage);
+  return GroundSentence(*ti.store(), sentence, lineage);
 }
 
 StatusOr<NodeId> GroundSentence(const storage::TiStore& store,
@@ -433,11 +428,10 @@ StatusOr<NodeId> GroundSentenceLegacy(const pdb::TiPdb<double>& ti,
   context.lineage = lineage;
   context.schema = &ti.schema();
   std::set<rel::Value> domain;
-  for (size_t i = 0; i < ti.facts().size(); ++i) {
-    context.fact_index[ti.facts()[i].first] = static_cast<int>(i);
-    for (const rel::Value& v : ti.facts()[i].first.args()) {
-      domain.insert(v);
-    }
+  for (int64_t i = 0; i < ti.num_facts(); ++i) {
+    rel::Fact fact = ti.store()->FactAt(i);
+    for (const rel::Value& v : fact.args()) domain.insert(v);
+    context.fact_index[std::move(fact)] = static_cast<int>(i);
   }
   for (const rel::Value& v : sentence.Constants()) domain.insert(v);
   int rank = sentence.QuantifierRank();

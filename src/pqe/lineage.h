@@ -84,11 +84,10 @@ class Lineage {
 };
 
 /// Grounds a boolean FO sentence over the fact set of a finite TI-PDB.
-/// Variable i of the lineage corresponds to `ti.facts()[i]`. Quantifiers
-/// follow the infinite-universe semantics of logic/evaluator.h
-/// (adom(T) ∪ consts(φ) ∪ fresh elements). Delegates to the columnar
-/// overload below when the TI carries a store (always, except for
-/// default-constructed TIs).
+/// Variable i of the lineage is global fact i of the TI's store.
+/// Quantifiers follow the infinite-universe semantics of
+/// logic/evaluator.h (adom(T) ∪ consts(φ) ∪ fresh elements). Delegates
+/// to the columnar overload below.
 StatusOr<NodeId> GroundSentence(const pdb::TiPdb<double>& ti,
                                 const logic::Formula& sentence,
                                 Lineage* lineage);
@@ -102,8 +101,8 @@ StatusOr<NodeId> GroundSentence(const storage::TiStore& store,
                                 const logic::Formula& sentence,
                                 Lineage* lineage);
 
-/// The pre-columnar path — builds an ordered fact-index map over
-/// `ti.facts()` per call. Kept as the benchmark baseline the storage
+/// The pre-columnar path — materializes every fact into an ordered
+/// fact-index map per call. Kept as the benchmark baseline the storage
 /// gate measures against; prefer GroundSentence.
 StatusOr<NodeId> GroundSentenceLegacy(const pdb::TiPdb<double>& ti,
                                       const logic::Formula& sentence,

@@ -1,5 +1,7 @@
 #include "pqe/open_world.h"
 
+#include <algorithm>
+#include <iterator>
 #include <set>
 
 #include "logic/classify.h"
@@ -24,15 +26,15 @@ StatusOr<Interval> OpenQueryProbabilityInterval(
   if (!lower.ok()) return lower.status();
 
   // Upper bound: add every unknown candidate at probability lambda.
-  std::set<rel::Fact> known;
-  for (const auto& [fact, marginal] : ti.facts()) known.insert(fact);
-  pdb::TiPdb<double>::FactList completed = ti.facts();
+  pdb::TiPdb<double>::FactList completed;
+  std::ranges::copy(ti.facts(), std::back_inserter(completed));
+  std::set<rel::Fact> added;
   for (const rel::Fact& fact : candidate_unknowns) {
     if (!fact.MatchesSchema(ti.schema())) {
       return InvalidArgumentError("candidate fact does not match schema: " +
                                   fact.ToString(ti.schema()));
     }
-    if (known.insert(fact).second) {
+    if (ti.store()->FindFact(fact) < 0 && added.insert(fact).second) {
       completed.emplace_back(fact, lambda);
     }
   }

@@ -191,16 +191,6 @@ struct LiftedSemiring<math::Rational> {
   };
 };
 
-/// Orders borrowed bucket keys by the pointed-to value, so project
-/// buckets keyed by `const rel::Value*` iterate in exactly the Value
-/// order the old by-value map used — without copying a rel::Value
-/// (potentially a heap string) per key.
-struct ValueDerefLess {
-  bool operator()(const rel::Value* a, const rel::Value* b) const {
-    return *a < *b;
-  }
-};
-
 template <>
 struct LiftedSemiring<Interval> {
   static Interval Zero() { return Interval::Point(0.0); }
@@ -377,220 +367,6 @@ StatusOr<int> LiftedPlan::Build(const std::vector<int>& atom_set,
   return static_cast<int>(nodes_.size()) - 1;
 }
 
-template <typename T, typename P, typename Convert>
-StatusOr<T> LiftedPlan::EvaluateImpl(const pdb::TiPdb<P>& ti, Convert convert,
-                                     const LiftedOptions& options) const {
-  for (const Formula& atom : atoms_) {
-    if (!ti.schema().has_relation(atom.relation()) ||
-        ti.schema().arity(atom.relation()) !=
-            static_cast<int>(atom.terms().size())) {
-      return InvalidArgumentError("query does not match the TI schema");
-    }
-  }
-  IPDB_FAULT_POINT("pqe.lifted.evaluate");
-  IPDB_OBS_SPAN("pqe.lifted_eval", "pqe");
-  IPDB_OBS_SCOPED_TIMER("pqe.lifted.eval_ns");
-  const ExecutionBudget* budget =
-      options.budget != nullptr && options.budget->unlimited()
-          ? nullptr
-          : options.budget;
-  if (budget != nullptr) {
-    Status now = budget->CheckTime("pqe.lifted");
-    if (!now.ok()) return now;
-    // The plan's project-nesting depth is static: check it once here
-    // instead of per recursion step.
-    if (budget->max_recursion_depth > 0 &&
-        depth_ > budget->max_recursion_depth) {
-      return ResourceExhaustedError(
-          "pqe.lifted plan depth " + std::to_string(depth_) +
-          " exceeds the recursion cap of " +
-          std::to_string(budget->max_recursion_depth));
-    }
-  }
-
-  // Plan-shape counters; ground lookups are counted dynamically below.
-  SafePlanStats local;
-  for (const PlanNode& node : nodes_) {
-    if (node.op == PlanOp::kIndependentJoin) ++local.independent_joins;
-    if (node.op == PlanOp::kIndependentProject) ++local.independent_projects;
-  }
-
-  struct Row {
-    const rel::Fact* fact;
-    T prob;
-  };
-  // Per-atom fact tables in ONE scan of the instance (the query is
-  // self-join-free, so each fact feeds at most one atom). Facts that
-  // disagree with an atom's constant positions are filtered here, once,
-  // instead of at every recursion level.
-  std::vector<std::vector<Row>> tables(atoms_.size());
-  BudgetMeter meter(budget, 0, "pqe.lifted");
-  if (root_ >= 0) {
-    for (const auto& [fact, marginal] : ti.facts()) {
-      Status charge = meter.Charge();
-      if (!charge.ok()) return charge;
-      auto it = relation_atom_.find(fact.relation());
-      if (it == relation_atom_.end()) continue;
-      const int a = it->second;
-      const std::vector<int>& vars = term_vars_[a];
-      const std::vector<rel::Value>& consts = term_consts_[a];
-      bool matches = true;
-      for (size_t pos = 0; pos < vars.size(); ++pos) {
-        if (vars[pos] < 0 && !(fact.args()[pos] == consts[pos])) {
-          matches = false;
-          break;
-        }
-      }
-      if (matches) tables[a].push_back(Row{&fact, convert(marginal)});
-    }
-  }
-
-  // The recursive plan walk. A local struct so the recursion can carry
-  // the sticky budget error without threading StatusOr through every
-  // semiring operation (the WmcSolver pattern).
-  struct Evaluator {
-    const LiftedPlan& plan;
-    std::vector<std::vector<Row>>& tables;
-    BudgetMeter& meter;
-    SafePlanStats& stats;
-    Status error;
-
-    T Eval(int id) {
-      if (!error.ok()) return LiftedSemiring<T>::Zero();
-      Status charge = meter.Charge();
-      if (!charge.ok()) {
-        error = std::move(charge);
-        return LiftedSemiring<T>::Zero();
-      }
-      const PlanNode& node = plan.nodes_[id];
-      switch (node.op) {
-        case PlanOp::kGroundLookup: {
-          ++stats.ground_lookups;
-          // The table narrowed to the enclosing projects' candidate and
-          // the atom's constants: at most one (distinct) fact remains.
-          const std::vector<Row>& rows = tables[node.atom];
-          return rows.empty() ? LiftedSemiring<T>::Zero()
-                              : rows.front().prob;
-        }
-        case PlanOp::kIndependentJoin: {
-          T product = LiftedSemiring<T>::One();
-          for (int child : node.children) {
-            product = product * Eval(child);
-            if (!error.ok()) return LiftedSemiring<T>::Zero();
-          }
-          return product;
-        }
-        case PlanOp::kIndependentProject:
-          return EvalProject(id, node);
-      }
-      return LiftedSemiring<T>::Zero();
-    }
-
-    T EvalProject(int id, const PlanNode& node) {
-      const std::vector<int>& scope = plan.node_atoms_[id];
-      const int var = node.project_var;
-      // Bucket each in-scope atom's rows by the projected variable's
-      // value; rows whose repeated positions disagree (e.g. S(x, x) on a
-      // fact S(1, 2)) drop out here. Keys *borrow* the value from the
-      // fact's argument vector (which outlives the buckets) — the old
-      // by-value keys copied a rel::Value per row per project level,
-      // which dominated allocation on string-heavy instances. The deref
-      // comparator keeps candidates in Value order, so double
-      // accumulation order is unchanged.
-      std::vector<
-          std::map<const rel::Value*, std::vector<Row>, ValueDerefLess>>
-          buckets(scope.size());
-      for (size_t k = 0; k < scope.size(); ++k) {
-        std::vector<Row>& rows = tables[scope[k]];
-        Status charge = meter.Charge(static_cast<int64_t>(rows.size()) + 1);
-        if (!charge.ok()) {
-          error = std::move(charge);
-          return LiftedSemiring<T>::Zero();
-        }
-        const std::vector<int>& vars = plan.term_vars_[scope[k]];
-        size_t first_pos = 0;
-        while (vars[first_pos] != var) ++first_pos;  // root var: occurs
-        for (Row& row : rows) {
-          const std::vector<rel::Value>& args = row.fact->args();
-          const rel::Value& value = args[first_pos];
-          bool consistent = true;
-          for (size_t pos = first_pos + 1; pos < vars.size(); ++pos) {
-            if (vars[pos] == var && !(args[pos] == value)) {
-              consistent = false;
-              break;
-            }
-          }
-          if (consistent) buckets[k][&value].push_back(std::move(row));
-        }
-      }
-      // A candidate contributes 0 unless present in every atom's bucket
-      // (the component is connected through the root variable), so
-      // iterate the smallest map and intersect.
-      size_t guard = 0;
-      for (size_t k = 1; k < scope.size(); ++k) {
-        if (buckets[k].size() < buckets[guard].size()) guard = k;
-      }
-      typename LiftedSemiring<T>::ComplementProduct complement;
-      for (auto& [value, guard_rows] : buckets[guard]) {
-        bool everywhere = true;
-        for (size_t k = 0; k < scope.size() && everywhere; ++k) {
-          if (k != guard) everywhere = buckets[k].count(value) > 0;
-        }
-        if (!everywhere) continue;
-        // Install the candidate's rows; each child evaluation re-installs
-        // before reading, so nothing needs restoring afterwards.
-        for (size_t k = 0; k < scope.size(); ++k) {
-          tables[scope[k]] = std::move(buckets[k][value]);
-        }
-        T p = Eval(node.children[0]);
-        if (!error.ok()) return LiftedSemiring<T>::Zero();
-        complement.MulComplement(p);
-      }
-      return complement.Result();
-    }
-  };
-
-  T result = LiftedSemiring<T>::One();  // empty conjunction: ⊤
-  if (root_ >= 0) {
-    Evaluator evaluator{*this, tables, meter, local, Status::Ok()};
-    result = evaluator.Eval(root_);
-    if (!evaluator.error.ok()) {
-      return IPDB_STATUS_FORWARD(evaluator.error)
-             << "lifted evaluation aborted";
-    }
-  }
-
-  IPDB_OBS_COUNT("pqe.lifted.evaluations", 1);
-  IPDB_OBS_COUNT("pqe.lifted.independent_joins", local.independent_joins);
-  IPDB_OBS_COUNT("pqe.lifted.independent_projects",
-                 local.independent_projects);
-  IPDB_OBS_COUNT("pqe.lifted.ground_lookups", local.ground_lookups);
-  if (options.stats != nullptr) {
-    options.stats->independent_joins += local.independent_joins;
-    options.stats->independent_projects += local.independent_projects;
-    options.stats->ground_lookups += local.ground_lookups;
-  }
-  return result;
-}
-
-template <typename P>
-StatusOr<P> LiftedPlan::Evaluate(const pdb::TiPdb<P>& ti,
-                                 const LiftedOptions& options) const {
-  return EvaluateImpl<P>(
-      ti, [](const P& p) { return p; }, options);
-}
-
-template StatusOr<double> LiftedPlan::Evaluate<double>(
-    const pdb::TiPdb<double>&, const LiftedOptions&) const;
-template StatusOr<math::Rational> LiftedPlan::Evaluate<math::Rational>(
-    const pdb::TiPdb<math::Rational>&, const LiftedOptions&) const;
-
-StatusOr<Interval> LiftedPlan::EvaluateInterval(
-    const pdb::TiPdb<double>& ti, const LiftedOptions& options) const {
-  return EvaluateImpl<Interval>(
-      ti, [](double p) { return Interval::Point(p); }, options);
-}
-
 template <typename T, typename ProbAt>
 StatusOr<T> LiftedPlan::EvaluateStoreImpl(const storage::TiStore& store,
                                           ProbAt prob_at,
@@ -613,6 +389,8 @@ StatusOr<T> LiftedPlan::EvaluateStoreImpl(const storage::TiStore& store,
   if (budget != nullptr) {
     Status now = budget->CheckTime("pqe.lifted");
     if (!now.ok()) return now;
+    // The plan's project-nesting depth is static: check it once here
+    // instead of per recursion step.
     if (budget->max_recursion_depth > 0 &&
         depth_ > budget->max_recursion_depth) {
       return ResourceExhaustedError(
@@ -676,6 +454,9 @@ StatusOr<T> LiftedPlan::EvaluateStoreImpl(const storage::TiStore& store,
     }
   }
 
+  // The recursive plan walk. A local struct so the recursion can carry
+  // the sticky budget error without threading StatusOr through every
+  // semiring operation (the WmcSolver pattern).
   struct Evaluator {
     const LiftedPlan& plan;
     std::vector<std::vector<Row>>& tables;
@@ -803,21 +584,42 @@ StatusOr<double> LiftedPlan::Evaluate(const storage::TiStore& store,
       options);
 }
 
-StatusOr<math::Rational> LiftedPlan::EvaluateExact(
-    const storage::TiStore& store, const LiftedOptions& options) const {
-  for (const auto& [relation, a] : relation_atom_) {
-    if (!store.schema().has_relation(relation)) continue;  // caught below
-    const storage::ColumnTable& table = store.table(relation);
-    if (table.num_exact() != table.num_rows()) {
-      return FailedPreconditionError(
-          "exact lifted evaluation requires an exact marginal for every "
-          "fact of every queried relation");
+template <typename P>
+StatusOr<P> LiftedPlan::Evaluate(const pdb::TiPdb<P>& ti,
+                                 const LiftedOptions& options) const {
+  const storage::TiStore& store = *ti.store();
+  if constexpr (!pdb::ProbTraits<P>::kExact) {
+    return Evaluate(store, options);
+  } else {
+    for (const auto& [relation, a] : relation_atom_) {
+      if (!store.schema().has_relation(relation)) continue;  // caught below
+      const storage::ColumnTable& table = store.table(relation);
+      if (table.num_exact() != table.num_rows()) {
+        return FailedPreconditionError(
+            "exact lifted evaluation requires an exact marginal for every "
+            "fact of every queried relation");
+      }
     }
+    return EvaluateStoreImpl<math::Rational>(
+        store,
+        [](const storage::ColumnTable& table, int64_t row) {
+          return *table.ExactAt(row);
+        },
+        options);
   }
-  return EvaluateStoreImpl<math::Rational>(
-      store,
+}
+
+template StatusOr<double> LiftedPlan::Evaluate<double>(
+    const pdb::TiPdb<double>&, const LiftedOptions&) const;
+template StatusOr<math::Rational> LiftedPlan::Evaluate<math::Rational>(
+    const pdb::TiPdb<math::Rational>&, const LiftedOptions&) const;
+
+StatusOr<Interval> LiftedPlan::EvaluateInterval(
+    const pdb::TiPdb<double>& ti, const LiftedOptions& options) const {
+  return EvaluateStoreImpl<Interval>(
+      *ti.store(),
       [](const storage::ColumnTable& table, int64_t row) {
-        return *table.ExactAt(row);
+        return Interval::Point(table.prob(row));
       },
       options);
 }

@@ -37,8 +37,9 @@ namespace pqe {
 /// The engine is compile-once / evaluate-many: `LiftedPlan::Compile`
 /// derives an extensional plan IR (independent-project /
 /// independent-join / ground-lookup nodes) from the hierarchy witness,
-/// and `Evaluate` runs it over per-atom fact tables built in one scan of
-/// the instance — no re-parse, no re-scan, no per-call fact copies. Like
+/// and `Evaluate` runs it over per-atom row tables built in one scan of
+/// the queried relations' columns — no re-parse, no re-scan, no per-call
+/// fact copies. Like
 /// kc::EvaluateCircuit, evaluation is generic over the value semiring:
 /// `double` (numerically stable complement products via log1p/expm1),
 /// exact `math::Rational`, and certified `Interval` enclosures.
@@ -124,10 +125,14 @@ class LiftedPlan {
   /// variable in some connected subquery).
   static StatusOr<LiftedPlan> Compile(const logic::Formula& sentence);
 
-  /// Pr_{I~ti}(I ⊨ q) in the P-semiring: double (stable complement
-  /// accumulation), or exact math::Rational. Fails with
-  /// kInvalidArgument when the TI's schema does not cover the query and
-  /// with the budget's error when `options.budget` trips.
+  /// Pr_{I~ti}(I ⊨ q) in the P-semiring, evaluated over the TI's store
+  /// columns: double marginals come from the probability column (stable
+  /// complement accumulation), exact math::Rational ones from the exact
+  /// side table. Fails with kInvalidArgument when the TI's schema does
+  /// not cover the query, with kFailedPrecondition when a queried fact of
+  /// an exact TI has lost its exact marginal to a later double-valued
+  /// store mutation, and with the budget's error when `options.budget`
+  /// trips.
   template <typename P>
   StatusOr<P> Evaluate(const pdb::TiPdb<P>& ti,
                        const LiftedOptions& options = {}) const;
@@ -140,14 +145,9 @@ class LiftedPlan {
   StatusOr<double> Evaluate(const storage::TiStore& store,
                             const LiftedOptions& options = {}) const;
 
-  /// Exact columnar evaluation from the store's exact side table. Fails
-  /// with kFailedPrecondition unless every fact of every queried
-  /// relation carries an exact marginal.
-  StatusOr<math::Rational> EvaluateExact(
-      const storage::TiStore& store, const LiftedOptions& options = {}) const;
-
-  /// Certified enclosure of the query probability from point-interval
-  /// marginals (the interval semiring tracks the rounding of the
+  /// Certified enclosure of the query probability: the same columnar
+  /// walk in the interval semiring, from point-interval marginals read
+  /// off the probability column (the semiring tracks the rounding of the
   /// plan's products; see util/interval.h for the certification model).
   StatusOr<Interval> EvaluateInterval(const pdb::TiPdb<double>& ti,
                                       const LiftedOptions& options = {}) const;
@@ -174,14 +174,8 @@ class LiftedPlan {
   StatusOr<int> Build(const std::vector<int>& atom_set,
                       std::vector<bool>* bound, int depth);
 
-  /// Shared body of Evaluate / EvaluateInterval: T is the result
-  /// semiring, P the marginal type stored in the TI, and `convert`
-  /// lifts P into T.
-  template <typename T, typename P, typename Convert>
-  StatusOr<T> EvaluateImpl(const pdb::TiPdb<P>& ti, Convert convert,
-                           const LiftedOptions& options) const;
-
-  /// Columnar body of Evaluate(TiStore) / EvaluateExact: `prob_at`
+  /// The one plan walk behind every Evaluate* entry point: T is the
+  /// result semiring (double, math::Rational or Interval) and `prob_at`
   /// reads a row's marginal as T from its column table.
   template <typename T, typename ProbAt>
   StatusOr<T> EvaluateStoreImpl(const storage::TiStore& store, ProbAt prob_at,

@@ -1,6 +1,7 @@
 #include "pqe/wmc.h"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -342,13 +343,13 @@ StatusOr<QueryAnswer> QueryProbability(const pdb::TiPdb<double>& ti,
   if (!skip_exact) {
     IPDB_OBS_SPAN("pqe.ground", "pqe");
     IPDB_FAULT_POINT("pqe.ground");
-    StatusOr<NodeId> grounded = GroundSentence(ti, sentence, &lineage);
+    const storage::TiStore& store = *ti.store();
+    StatusOr<NodeId> grounded = GroundSentence(store, sentence, &lineage);
     if (!grounded.ok()) return grounded.status();
     root = grounded.value();
-    probs.reserve(ti.facts().size());
-    for (const auto& [fact, marginal] : ti.facts()) {
-      probs.push_back(marginal);
-    }
+    const int64_t n = store.num_facts();
+    probs.reserve(static_cast<size_t>(n));
+    for (int64_t i = 0; i < n; ++i) probs.push_back(store.ProbAt(i));
   }
 
   // Exact rung: compile (budget-governed) through the artifact cache,
@@ -465,17 +466,20 @@ StatusOr<double> QueryProbabilityBruteForce(const pdb::TiPdb<double>& ti,
   if (!sentence.FreeVariables().empty()) {
     return InvalidArgumentError("brute force requires a sentence");
   }
+  // Materialized once, not once per world.
+  pdb::TiPdb<double>::FactList facts;
+  std::ranges::copy(ti.facts(), std::back_inserter(facts));
   double total = 0.0;
-  const uint64_t count = 1ULL << ti.num_facts();
+  const uint64_t count = 1ULL << facts.size();
   for (uint64_t mask = 0; mask < count; ++mask) {
     std::vector<rel::Fact> chosen;
     double probability = 1.0;
-    for (int64_t i = 0; i < ti.num_facts(); ++i) {
+    for (size_t i = 0; i < facts.size(); ++i) {
       if ((mask >> i) & 1) {
-        chosen.push_back(ti.facts()[i].first);
-        probability *= ti.facts()[i].second;
+        chosen.push_back(facts[i].first);
+        probability *= facts[i].second;
       } else {
-        probability *= 1.0 - ti.facts()[i].second;
+        probability *= 1.0 - facts[i].second;
       }
     }
     if (probability == 0.0) continue;

@@ -160,10 +160,6 @@ Status Engine::RegisterInstance(const std::string& name,
   if (name.empty()) {
     return InvalidArgumentError("instance name must be non-empty");
   }
-  if (instance.store() == nullptr) {
-    return InvalidArgumentError(
-        "instance '" + name + "' has no backing store (default-constructed?)");
-  }
   std::lock_guard<std::mutex> lock(mu_);
   auto inserted = instances_.emplace(
       name, std::make_shared<const pdb::TiPdb<double>>(std::move(instance)));

@@ -51,7 +51,9 @@ void TiStore::Builder::AddExact(const rel::Fact& fact,
                                 const math::Rational& prob) {
   IPDB_CHECK(store_ != nullptr) << "Builder already finished";
   if (!deferred_error_.ok()) return;
-  if (prob.is_negative() || prob.ToDouble() > 1.0 + 1e-12) {
+  // A schema mismatch is Add's to report first, as for double marginals.
+  if (fact.MatchesSchema(store_->schema_) &&
+      (prob.is_negative() || prob.ToDouble() > 1.0 + 1e-12)) {
     deferred_error_ =
         InvalidArgumentError("marginal probability outside [0, 1]");
     return;
@@ -67,10 +69,18 @@ StatusOr<std::shared_ptr<TiStore>> TiStore::Builder::Finish() {
   IPDB_CHECK(store_ != nullptr) << "Builder already finished";
   std::shared_ptr<TiStore> store = std::move(store_);
   if (!deferred_error_.ok()) return deferred_error_;
+  // Release the append slack of every table before any sort allocates
+  // its run, so the runs reuse that memory instead of adding to the
+  // instance's resident set.
   for (rel::RelationId r = 0; r < store->schema_.num_relations(); ++r) {
-    ColumnTable& table = store->tables_[static_cast<size_t>(r)];
+    store->tables_[static_cast<size_t>(r)].ShrinkToFit();
+    store->row_global_[static_cast<size_t>(r)].shrink_to_fit();
+  }
+  store->fact_loc_.shrink_to_fit();
+  for (rel::RelationId r = 0; r < store->schema_.num_relations(); ++r) {
     int64_t duplicate_row = -1;
-    Status built = table.FinishBuild(&duplicate_row);
+    Status built =
+        store->tables_[static_cast<size_t>(r)].FinishBuild(&duplicate_row);
     if (!built.ok()) {
       if (duplicate_row >= 0) {
         const int64_t g = store->global_index(r, duplicate_row);
@@ -79,10 +89,7 @@ StatusOr<std::shared_ptr<TiStore>> TiStore::Builder::Finish() {
       }
       return built;
     }
-    table.ShrinkToFit();
-    store->row_global_[static_cast<size_t>(r)].shrink_to_fit();
   }
-  store->fact_loc_.shrink_to_fit();
   return store;
 }
 

@@ -98,8 +98,8 @@ class TiStore {
     return row_global_[static_cast<size_t>(relation)][static_cast<size_t>(row)];
   }
 
-  /// Materializes fact i (allocates a rel::Fact — a compatibility
-  /// accessor, not a scan primitive).
+  /// Materializes fact i (allocates a rel::Fact — what an element read
+  /// of pdb::TiPdb::facts() costs, not a scan primitive).
   rel::Fact FactAt(int64_t i) const;
   double ProbAt(int64_t i) const;
   /// Exact marginal of fact i, or null when only the double is stored.

@@ -2,8 +2,10 @@
 /// random hierarchical self-join-free CQs over random TI instances,
 /// checked in exact rational arithmetic (EXPECT_EQ, no tolerances)
 /// against two independent oracles — the ground-then-compile d-DNNF
-/// pipeline and brute-force world enumeration. Randomly generated
-/// queries *outside* the safe class double as rejection coverage.
+/// pipeline and brute-force world enumeration — plus, per query, an
+/// interval-semiring enclosure checked to contain the exact answer on a
+/// dyadic instance. Randomly generated queries *outside* the safe class
+/// double as rejection coverage.
 
 #include <gtest/gtest.h>
 
@@ -14,14 +16,13 @@
 
 #include "kc/compile.h"
 #include "kc/evaluate.h"
-#include "logic/evaluator.h"
 #include "logic/formula.h"
 #include "logic/parser.h"
 #include "math/rational.h"
 #include "pqe/lineage.h"
 #include "pqe/safe_plan.h"
-#include "relational/instance.h"
 #include "test_util.h"
+#include "util/interval.h"
 #include "util/random.h"
 
 namespace ipdb {
@@ -78,33 +79,12 @@ logic::Formula RandomCq(const rel::Schema& schema, int universe,
   return logic::And(std::move(groups));
 }
 
-/// Exact brute-force oracle: Σ over worlds satisfying the sentence of
-/// the world's rational probability.
-math::Rational BruteForceRational(const pdb::TiPdb<math::Rational>& ti,
-                                  const logic::Formula& sentence) {
-  math::Rational total;
-  const uint64_t worlds = uint64_t{1} << ti.num_facts();
-  for (uint64_t mask = 0; mask < worlds; ++mask) {
-    std::vector<rel::Fact> chosen;
-    math::Rational probability(1);
-    for (int i = 0; i < ti.num_facts(); ++i) {
-      if ((mask >> i) & 1) {
-        chosen.push_back(ti.facts()[i].first);
-        probability *= ti.facts()[i].second;
-      } else {
-        probability *= math::Rational(1) - ti.facts()[i].second;
-      }
-    }
-    rel::Instance world(std::move(chosen));
-    auto holds = logic::Evaluate(world, ti.schema(), sentence);
-    if (holds.ok() && holds.value()) total += probability;
-  }
-  return total;
-}
-
 TEST(LiftedParityTest, RandomHierarchicalQueriesMatchCircuitAndBruteForce) {
   rel::Schema schema = ParitySchema();
   Pcg32 rng(0x11f7ed);
+  // The interval instances draw from their own stream, so the rational
+  // instances above stay exactly what `rng` alone produces.
+  Pcg32 dyadic_rng(0xd1ad1c);
   int accepted = 0;
   int rejected = 0;
   int attempts = 0;
@@ -157,7 +137,7 @@ TEST(LiftedParityTest, RandomHierarchicalQueriesMatchCircuitAndBruteForce) {
     ASSERT_TRUE(circuit.ok()) << sentence.ToString(schema);
 
     // Brute-force oracle.
-    math::Rational brute = BruteForceRational(exact_ti, sentence);
+    math::Rational brute = testing_util::BruteForceRational(exact_ti, sentence);
 
     EXPECT_EQ(lifted.value(), circuit.value())
         << sentence.ToString(schema);
@@ -165,6 +145,27 @@ TEST(LiftedParityTest, RandomHierarchicalQueriesMatchCircuitAndBruteForce) {
     if (lifted.value() != circuit.value() || lifted.value() != brute) {
       break;  // one counterexample is enough output
     }
+
+    // Interval semiring: on dyadic marginals (k/16) the doubles equal
+    // the rationals, so the certified enclosure must contain the exact
+    // answer — compared exactly, endpoints converted to rationals.
+    pdb::TiPdb<math::Rational> dyadic_exact =
+        testing_util::RandomRationalTi(schema, 8, 3, 16, &dyadic_rng);
+    pdb::TiPdb<double>::FactList dyadic;
+    for (const auto& [fact, marginal] : dyadic_exact.facts()) {
+      dyadic.emplace_back(fact, marginal.ToDouble());
+    }
+    StatusOr<Interval> enclosure = plan.value().EvaluateInterval(
+        pdb::TiPdb<double>::CreateOrDie(schema, std::move(dyadic)));
+    ASSERT_TRUE(enclosure.ok()) << sentence.ToString(schema);
+    const math::Rational dyadic_brute =
+        testing_util::BruteForceRational(dyadic_exact, sentence);
+    EXPECT_LE(math::Rational::FromDouble(enclosure.value().lo()),
+              dyadic_brute)
+        << sentence.ToString(schema);
+    EXPECT_GE(math::Rational::FromDouble(enclosure.value().hi()),
+              dyadic_brute)
+        << sentence.ToString(schema);
   }
   EXPECT_EQ(accepted, kTarget)
       << "generator too restrictive: " << accepted << " accepted / "

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 namespace ipdb {
 namespace math {
 namespace {
@@ -41,6 +43,20 @@ TEST(RationalTest, Pow) {
   EXPECT_EQ(half.Pow(-3).ToString(), "8");
   EXPECT_EQ(Rational::Ratio(-2, 3).Pow(2).ToString(), "4/9");
   EXPECT_EQ(Rational::Ratio(-2, 3).Pow(3).ToString(), "-8/27");
+}
+
+TEST(RationalTest, FromDoubleIsExact) {
+  EXPECT_EQ(Rational::FromDouble(0.0), Rational(0));
+  EXPECT_EQ(Rational::FromDouble(0.375), Rational::Ratio(3, 8));
+  EXPECT_EQ(Rational::FromDouble(-6.5), Rational::Ratio(-13, 2));
+  EXPECT_EQ(Rational::FromDouble(std::ldexp(1.0, 70)),
+            Rational(2).Pow(70));
+  // 0.1 is not 1/10 but the nearest dyadic, which ToDouble maps back.
+  const Rational tenth = Rational::FromDouble(0.1);
+  EXPECT_NE(tenth, Rational::Ratio(1, 10));
+  EXPECT_EQ(tenth.ToDouble(), 0.1);
+  EXPECT_EQ(Rational::FromDouble(std::ldexp(1.0, -1074)),
+            Rational(2).Pow(-1074));
 }
 
 TEST(RationalTest, Comparisons) {

@@ -1,13 +1,15 @@
 /// Tests for the columnar fact store: dictionary interning, column-table
 /// lookups and mutation, columnar-vs-legacy parity (grounding
-/// fingerprints, lifted evaluation, size distributions) on randomized
-/// instances and queries, and the generation-counter invalidation
-/// protocol (structural mutation evicts dependent compiled artifacts;
-/// probability updates keep circuits and refresh answers).
+/// fingerprints, size distributions) and lifted evaluation against exact
+/// brute force on randomized instances and queries, TiPdb views that
+/// reflect later store mutations, and the generation-counter
+/// invalidation protocol (structural mutation evicts dependent compiled
+/// artifacts; probability updates keep circuits and refresh answers).
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -138,7 +140,6 @@ TEST(TiStoreTest, FindFactMarginalAndRoundTrip) {
       rel::Fact(1, {rel::Value::Int(1), rel::Value::Symbol("a")}), 0.5);
   facts.emplace_back(rel::Fact(0, {rel::Value::Int(2)}), 0.75);
   pdb::TiPdbD ti = pdb::TiPdbD::CreateOrDie(schema, facts);
-  ASSERT_NE(ti.store(), nullptr);
   const TiStore& store = *ti.store();
   EXPECT_EQ(store.num_facts(), 3);
   for (int64_t i = 0; i < store.num_facts(); ++i) {
@@ -148,10 +149,18 @@ TEST(TiStoreTest, FindFactMarginalAndRoundTrip) {
   }
   EXPECT_EQ(store.FindFact(rel::Fact(0, {rel::Value::Int(99)})), -1);
   EXPECT_EQ(store.Marginal(facts[1].first), 0.5);
-  // FromStore rebuilds the compatibility view in global-index order.
+  // A FromStore view reads the facts back in global-index order, which
+  // is the input order.
   StatusOr<pdb::TiPdbD> view = pdb::TiPdbD::FromStore(ti.store());
   ASSERT_TRUE(view.ok());
-  EXPECT_EQ(view.value().facts(), ti.facts());
+  ASSERT_EQ(view.value().facts().size(), facts.size());
+  size_t i = 0;
+  for (const auto& [fact, marginal] : view.value().facts()) {
+    EXPECT_EQ(fact, facts[i].first);
+    EXPECT_EQ(marginal, facts[i].second);
+    EXPECT_EQ(view.value().facts()[i], facts[i]);
+    ++i;
+  }
   EXPECT_EQ(view.value().SizeDistribution(), ti.SizeDistribution());
 }
 
@@ -250,7 +259,6 @@ TEST(StorageParityTest, ColumnarGroundingMatchesLegacy) {
       shadow.emplace_back(fact, marginal.ToDouble());
     }
     pdb::TiPdbD ti = pdb::TiPdbD::CreateOrDie(schema, std::move(shadow));
-    ASSERT_NE(ti.store(), nullptr);
 
     // Structural identity: the columnar and legacy grounders must agree
     // node for node (same var ids, same domain order), which the 128-bit
@@ -277,26 +285,20 @@ TEST(StorageParityTest, ColumnarGroundingMatchesLegacy) {
         << sentence.ToString(schema);
 
     // Exact lifted parity where the query is in the safe class: the
-    // columnar evaluator must reproduce the legacy rationals bit for
-    // bit (EXPECT_EQ, no tolerance).
+    // columnar evaluator must reproduce an exact brute force over all
+    // 2^n worlds (EXPECT_EQ, no tolerance), and its double semiring the
+    // double brute force.
     StatusOr<pqe::LiftedPlan> plan = pqe::LiftedPlan::Compile(sentence);
     if (plan.ok()) {
-      ASSERT_NE(exact_ti.store(), nullptr);
-      StatusOr<math::Rational> legacy_lifted =
-          plan.value().Evaluate(exact_ti);
-      StatusOr<math::Rational> columnar_lifted =
-          plan.value().EvaluateExact(*exact_ti.store());
-      ASSERT_TRUE(legacy_lifted.ok()) << sentence.ToString(schema);
-      ASSERT_TRUE(columnar_lifted.ok()) << sentence.ToString(schema);
-      EXPECT_EQ(legacy_lifted.value(), columnar_lifted.value())
+      StatusOr<math::Rational> lifted = plan.value().Evaluate(exact_ti);
+      ASSERT_TRUE(lifted.ok()) << sentence.ToString(schema);
+      EXPECT_EQ(lifted.value(),
+                testing_util::BruteForceRational(exact_ti, sentence))
           << sentence.ToString(schema);
 
-      StatusOr<double> legacy_double = plan.value().Evaluate(ti);
-      StatusOr<double> columnar_double =
-          plan.value().Evaluate(*ti.store());
-      ASSERT_TRUE(legacy_double.ok());
-      ASSERT_TRUE(columnar_double.ok());
-      EXPECT_NEAR(legacy_double.value(), columnar_double.value(), 1e-12)
+      StatusOr<double> lifted_double = plan.value().Evaluate(ti);
+      ASSERT_TRUE(lifted_double.ok());
+      EXPECT_NEAR(lifted_double.value(), brute.value(), 1e-12)
           << sentence.ToString(schema);
     }
     ++checked;
@@ -313,9 +315,9 @@ TEST(StorageParityTest, SizeDistributionUnchangedByColumnarBacking) {
     shadow.emplace_back(fact, marginal.ToDouble());
   }
   pdb::TiPdbD ti = pdb::TiPdbD::CreateOrDie(schema, shadow);
-  // The compatibility view preserves insertion order, so the Poisson-
-  // binomial DP sees the same marginal sequence as the pre-columnar
-  // engine: bit-identical distribution.
+  // Global fact order is insertion order, so the Poisson-binomial DP
+  // sees the same marginal sequence as the pre-columnar engine:
+  // bit-identical distribution.
   std::vector<double> expected;
   {
     std::vector<double> marginals;
@@ -441,6 +443,40 @@ TEST(StorageInvalidationTest, ProbabilityUpdateKeepsCircuitRefreshesAnswer) {
   EXPECT_EQ(*exact, math::Rational::Ratio(1, 4));
 }
 
+/// A TiPdb is a view that reflects its store: a view taken before a
+/// mutation answers for the mutated store on both rungs.
+TEST(StorageInvalidationTest, OldViewReflectsStoreMutations) {
+  // R(0), S(0, 1000), R(1), S(1, 1001).
+  std::shared_ptr<TiStore> store = ChainStore(2);
+  const rel::Schema& schema = store->schema();
+  const StatusOr<pdb::TiPdbD> view = pdb::TiPdbD::FromStore(store);
+  ASSERT_TRUE(view.ok());
+  const logic::Formula safe = ChainQuery(schema);
+  const logic::Formula self_join =
+      logic::ParseSentence("exists x y z. R(x) & S(x, y) & S(z, y)", schema)
+          .value();
+  const auto check = [&](const std::string& step) {
+    EXPECT_EQ(view.value().num_facts(), store->num_facts()) << step;
+    for (const logic::Formula* sentence : {&safe, &self_join}) {
+      StatusOr<pqe::QueryAnswer> answer =
+          pqe::QueryProbability(view.value(), *sentence, pqe::QueryOptions{});
+      ASSERT_TRUE(answer.ok()) << step << ": " << answer.status().ToString();
+      EXPECT_EQ(answer.value().lifted, sentence == &safe) << step;
+      EXPECT_NEAR(answer.value().probability,
+                  BruteForceAnswer(store, *sentence), 1e-12)
+          << step << ": " << sentence->ToString(schema);
+    }
+  };
+  check("as built");
+  ASSERT_TRUE(store->Erase(ChainR(1)).ok());
+  check("after Erase");
+  ASSERT_TRUE(store->Insert(ChainS(1, 1000), 0.35).ok());
+  ASSERT_TRUE(store->Insert(ChainR(1), 0.65).ok());
+  check("after Insert");
+  ASSERT_TRUE(store->UpdateProbability(ChainS(0, 1000), 0.9).ok());
+  check("after UpdateProbability");
+}
+
 TEST(StorageInvalidationTest, ConcurrentReadersAndRegistrations) {
   std::shared_ptr<TiStore> store = ChainStore(32);
   std::vector<std::thread> threads;
@@ -545,14 +581,28 @@ TEST(TiStoreTest, ExactViewRequiresExactMarginals) {
   StatusOr<pdb::TiPdbQ> exact = pdb::TiPdbQ::FromStore(store.value());
   EXPECT_FALSE(exact.ok());
   EXPECT_EQ(exact.status().code(), StatusCode::kFailedPrecondition);
-  // And the exact lifted evaluator enforces the same precondition.
+}
+
+TEST(TiStoreTest, ExactViewReadsAClearedEntryAsItsExactDouble) {
+  rel::Schema schema({{"R", 1}});
+  TiStore::Builder builder(schema);
+  builder.AddExact(rel::Fact(0, {rel::Value::Int(1)}),
+                   math::Rational::Ratio(1, 3));
+  std::shared_ptr<TiStore> store = builder.Finish().value();
+  StatusOr<pdb::TiPdbQ> view = pdb::TiPdbQ::FromStore(store);
+  ASSERT_TRUE(view.ok());
+  const rel::Fact added(0, {rel::Value::Int(2)});
+  ASSERT_TRUE(store->Insert(added, 0.375).ok());
+  EXPECT_EQ(view.value().Marginal(added), math::Rational::Ratio(3, 8));
+  EXPECT_EQ(view.value().MarginalSum(), math::Rational::Ratio(17, 24));
+  // The exact lifted evaluator enforces FromStore's precondition on the
+  // queried relations at evaluation time.
   pqe::LiftedPlan plan =
       pqe::LiftedPlan::Compile(
           logic::ParseSentence("exists x. R(x)", schema).value())
           .value();
-  StatusOr<math::Rational> result = plan.EvaluateExact(*store.value());
-  EXPECT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(plan.Evaluate(view.value()).status().code(),
+            StatusCode::kFailedPrecondition);
 }
 
 }  // namespace

@@ -1,8 +1,11 @@
 #include "test_util.h"
 
+#include <algorithm>
+#include <iterator>
 #include <set>
 #include <utility>
 
+#include "logic/evaluator.h"
 #include "util/check.h"
 
 namespace ipdb {
@@ -96,6 +99,30 @@ pdb::TiPdb<math::Rational> RandomRationalTi(const rel::Schema& schema,
                        math::Rational::Ratio(numerator, denom));
   }
   return pdb::TiPdb<math::Rational>::CreateOrDie(schema, std::move(facts));
+}
+
+math::Rational BruteForceRational(const pdb::TiPdb<math::Rational>& ti,
+                                  const logic::Formula& sentence) {
+  pdb::TiPdb<math::Rational>::FactList facts;
+  std::ranges::copy(ti.facts(), std::back_inserter(facts));
+  math::Rational total;
+  const uint64_t worlds = uint64_t{1} << facts.size();
+  for (uint64_t mask = 0; mask < worlds; ++mask) {
+    std::vector<rel::Fact> chosen;
+    math::Rational probability(1);
+    for (size_t i = 0; i < facts.size(); ++i) {
+      if ((mask >> i) & 1) {
+        chosen.push_back(facts[i].first);
+        probability *= facts[i].second;
+      } else {
+        probability *= math::Rational(1) - facts[i].second;
+      }
+    }
+    rel::Instance world(std::move(chosen));
+    auto holds = logic::Evaluate(world, ti.schema(), sentence);
+    if (holds.ok() && holds.value()) total += probability;
+  }
+  return total;
 }
 
 }  // namespace testing_util

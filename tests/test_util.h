@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "logic/formula.h"
 #include "math/rational.h"
 #include "pdb/finite_pdb.h"
 #include "pdb/ti_pdb.h"
@@ -35,6 +36,11 @@ pdb::FinitePdb<double> ToDoublePdb(const pdb::FinitePdb<math::Rational>& q);
 pdb::TiPdb<math::Rational> RandomRationalTi(const rel::Schema& schema,
                                             int num_facts, int universe,
                                             int denom, Pcg32* rng);
+
+/// Exact brute-force oracle: Σ over the 2^n worlds satisfying the
+/// sentence of the world's rational probability.
+math::Rational BruteForceRational(const pdb::TiPdb<math::Rational>& ti,
+                                  const logic::Formula& sentence);
 
 }  // namespace testing_util
 }  // namespace ipdb
