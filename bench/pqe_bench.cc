@@ -175,33 +175,6 @@ void BM_SafePlanVsWmc_Wmc(benchmark::State& state) {
 }
 BENCHMARK(BM_SafePlanVsWmc_Wmc)->Arg(4)->Arg(16);
 
-void BM_WmcDecompositionAblation(benchmark::State& state) {
-  // Ablation (DESIGN.md): the bipartite existence query with independent-
-  // component decomposition DISABLED — every gate becomes a chain of
-  // Shannon expansions. Compare with BM_WmcBipartiteExists.
-  int side = static_cast<int>(state.range(0));
-  pdb::TiPdb<double> ti = BipartiteTi(side, side);
-  ipdb::logic::Formula query =
-      ipdb::logic::ParseSentence("exists x y. R(x, y)", ti.schema())
-          .value();
-  pqe::Lineage lineage;
-  auto root = pqe::GroundSentence(ti, query, &lineage);
-  std::vector<double> probs;
-  for (const auto& [fact, marginal] : ti.facts()) {
-    probs.push_back(marginal);
-  }
-  pqe::WmcOptions no_decompose;
-  no_decompose.decompose = false;
-  for (auto _ : state) {
-    pqe::WmcStats stats;
-    benchmark::DoNotOptimize(pqe::ComputeProbability(
-        &lineage, root.value(), probs, &stats, no_decompose));
-    state.counters["shannon"] =
-        static_cast<double>(stats.shannon_expansions);
-  }
-}
-BENCHMARK(BM_WmcDecompositionAblation)->Arg(2)->Arg(4);
-
 void BM_MonteCarloEstimate(benchmark::State& state) {
   // Thread-scaling of the deterministic parallel Monte Carlo estimator:
   // each row reports the same bit-identical estimate, only faster.
@@ -278,12 +251,14 @@ void PerturbProbs(int round, std::vector<double>* probs) {
 
 void BM_CompileOnceEvaluate64(benchmark::State& state) {
   // One d-DNNF compilation, then 64 re-evaluations under perturbed
-  // marginals — the compile-once / evaluate-many serving pattern.
+  // marginals — the compile-once / evaluate-many serving pattern. Its
+  // baseline, 64 one-shot solves, is the recorded BM_LegacyWmc64 row in
+  // BENCH_pqe.json.
   int n = static_cast<int>(state.range(0));
-  // Grounding is identical for both serving strategies, so it happens
-  // once in setup; the timed region is one compilation plus 64
-  // evaluations (the lineage is pre-warmed so Shannon restrictions are
-  // already interned, as they are after any first solve).
+  // Grounding happens once in setup; the timed region is one
+  // compilation plus 64 evaluations (the lineage is pre-warmed so
+  // Shannon restrictions are already interned, as they are after any
+  // first solve).
   pqe::Lineage lineage;
   pqe::NodeId root;
   std::vector<double> probs;
@@ -304,28 +279,6 @@ void BM_CompileOnceEvaluate64(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CompileOnceEvaluate64)->Arg(16)->Arg(32);
-
-void BM_LegacyWmc64(benchmark::State& state) {
-  // The same 64 re-weighted queries answered by the legacy solver: a
-  // full Shannon/decomposition solve per round.
-  int n = static_cast<int>(state.range(0));
-  // Same setup as BM_CompileOnceEvaluate64: ground once, pre-warm the
-  // lineage, then time the 64 re-weighted solves.
-  pqe::Lineage lineage;
-  pqe::NodeId root;
-  std::vector<double> probs;
-  GroundDecomposableSuite(n, &lineage, &root, &probs);
-  (void)pqe::ComputeProbability(&lineage, root, probs);
-  for (auto _ : state) {
-    double checksum = 0.0;
-    for (int round = 0; round < 64; ++round) {
-      PerturbProbs(round, &probs);
-      checksum += pqe::ComputeProbability(&lineage, root, probs).value();
-    }
-    benchmark::DoNotOptimize(checksum);
-  }
-}
-BENCHMARK(BM_LegacyWmc64)->Arg(16)->Arg(32);
 
 void BM_ArtifactCacheHitServing(benchmark::State& state) {
   // End-to-end QueryProbability with a warm artifact cache: ground,

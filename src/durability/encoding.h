@@ -70,6 +70,9 @@ class ByteReader {
   }
   bool GetBytes(void* out, size_t n) {
     if (remaining() < n) return false;
+    // An empty column hands in a null `out`; memcpy's pointers must be
+    // valid even for a zero-byte copy.
+    if (n == 0) return true;
     std::memcpy(out, data_ + pos_, n);
     pos_ += n;
     return true;

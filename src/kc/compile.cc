@@ -148,7 +148,7 @@ class Compiler {
       }
     } else {
       // Variable-connected: Shannon expansion on the variable shared by
-      // the most children (the legacy solver's branching heuristic).
+      // the most children (ties broken toward the smallest variable).
       std::unordered_map<int, int> frequency;
       for (LineageId child : children) {
         for (int v : lineage_.Support(child)) ++frequency[v];

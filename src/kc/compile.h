@@ -12,9 +12,10 @@
 namespace ipdb {
 namespace kc {
 
-/// Top-down compilation of a pqe::Lineage DAG into a d-DNNF circuit,
-/// using the same two inference rules as the legacy WMC solver
-/// (pqe::ComputeProbability) but *materializing* the trace:
+/// Top-down compilation of a pqe::Lineage DAG into a d-DNNF circuit —
+/// the one exact-inference engine: the circuit rung of
+/// pqe::QueryProbability and the one-shot pqe::ComputeProbability both
+/// run it. Two inference rules, whose trace it *materializes*:
 ///
 ///  * independent-component decomposition — a gate whose children fall
 ///    into variable-disjoint groups becomes a decomposable AND (for

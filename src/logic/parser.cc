@@ -1,6 +1,7 @@
 #include "logic/parser.h"
 
 #include <cctype>
+#include <charconv>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -87,7 +88,7 @@ class Lexer {
           token.kind = TokenKind::kImplies;
           pos_ += 2;
         } else if (pos_ + 1 < text_.size() && std::isdigit(text_[pos_ + 1])) {
-          LexInt(&token);
+          IPDB_RETURN_IF_ERROR(LexInt(&token));
         } else {
           return Error("unexpected '-'");
         }
@@ -108,7 +109,7 @@ class Lexer {
         token.text = text_.substr(pos_ + 1, end - pos_ - 1);
         pos_ = end + 1;
       } else if (std::isdigit(c)) {
-        LexInt(&token);
+        IPDB_RETURN_IF_ERROR(LexInt(&token));
       } else if (std::isalpha(c) || c == '_') {
         size_t start = pos_;
         while (pos_ < text_.size() &&
@@ -133,12 +134,20 @@ class Lexer {
   }
 
  private:
-  void LexInt(Token* token) {
-    size_t start = pos_;
+  /// An optionally negative decimal literal; one outside the int64_t
+  /// range is an error, not an exception.
+  Status LexInt(Token* token) {
+    const size_t start = pos_;
     if (text_[pos_] == '-') ++pos_;
     while (pos_ < text_.size() && std::isdigit(text_[pos_])) ++pos_;
     token->kind = TokenKind::kInt;
-    token->int_value = std::stoll(text_.substr(start, pos_ - start));
+    const std::from_chars_result parsed = std::from_chars(
+        text_.data() + start, text_.data() + pos_, token->int_value);
+    if (parsed.ec != std::errc()) {
+      pos_ = start;
+      return Error("integer literal out of the 64-bit range");
+    }
+    return Status::Ok();
   }
 
   Status Error(const std::string& message) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
 #include <set>
 
 #include "logic/evaluator.h"
@@ -237,11 +236,9 @@ using logic::Term;
 
 struct GroundContext {
   Lineage* lineage;
-  const rel::Schema* schema;
-  /// Columnar atom index; when set, fact_index stays empty and atoms
-  /// resolve by dictionary probe + binary search.
-  const storage::TiStore* store = nullptr;
-  std::map<rel::Fact, int> fact_index;
+  /// Atoms resolve by dictionary probe + one binary search in the
+  /// relation's sorted run.
+  const storage::TiStore* store;
   std::vector<rel::Value> domain;
 };
 
@@ -273,14 +270,9 @@ StatusOr<NodeId> Ground(GroundContext& context, const Formula& formula,
       }
       rel::Fact fact(formula.relation(), std::move(args));
       // Closed-world over the fact set: facts outside T(I) never occur.
-      if (context.store != nullptr) {
-        const int64_t i = context.store->FindFact(fact);
-        if (i < 0) return lineage.False();
-        return lineage.Var(static_cast<int>(i));
-      }
-      auto it = context.fact_index.find(fact);
-      if (it == context.fact_index.end()) return lineage.False();
-      return lineage.Var(it->second);
+      const int64_t i = context.store->FindFact(fact);
+      if (i < 0) return lineage.False();
+      return lineage.Var(static_cast<int>(i));
     }
     case FormulaKind::kEquals: {
       StatusOr<rel::Value> lhs = ResolveTerm(formula.terms()[0], *assignment);
@@ -367,24 +359,6 @@ StatusOr<NodeId> Ground(GroundContext& context, const Formula& formula,
 
 }  // namespace
 
-namespace {
-
-/// Domain finalization shared by both grounding paths: constants and
-/// fresh witnesses join the active domain, then sort + unique — the
-/// same ordered set the legacy std::set construction produced.
-void FinishDomain(const logic::Formula& sentence,
-                  std::vector<rel::Value>* domain) {
-  for (const rel::Value& v : sentence.Constants()) domain->push_back(v);
-  int rank = sentence.QuantifierRank();
-  for (int i = 0; i < rank; ++i) {
-    domain->push_back(rel::Value::Symbol("$fresh" + std::to_string(i)));
-  }
-  std::sort(domain->begin(), domain->end());
-  domain->erase(std::unique(domain->begin(), domain->end()), domain->end());
-}
-
-}  // namespace
-
 StatusOr<NodeId> GroundSentence(const pdb::TiPdb<double>& ti,
                                 const logic::Formula& sentence,
                                 Lineage* lineage) {
@@ -405,40 +379,18 @@ StatusOr<NodeId> GroundSentence(const storage::TiStore& store,
         "lineage variables are 32-bit: the store has too many facts to "
         "ground");
   }
-  GroundContext context;
-  context.lineage = lineage;
-  context.schema = &store.schema();
-  context.store = &store;
-  context.domain = store.SortedDomain();
-  FinishDomain(sentence, &context.domain);
-  logic::Assignment assignment;
-  return Ground(context, sentence, &assignment);
-}
-
-StatusOr<NodeId> GroundSentenceLegacy(const pdb::TiPdb<double>& ti,
-                                      const logic::Formula& sentence,
-                                      Lineage* lineage) {
-  if (!sentence.FreeVariables().empty()) {
-    return InvalidArgumentError("grounding requires a sentence");
-  }
-  if (!sentence.MatchesSchema(ti.schema())) {
-    return InvalidArgumentError("sentence does not match the TI schema");
-  }
-  GroundContext context;
-  context.lineage = lineage;
-  context.schema = &ti.schema();
-  std::set<rel::Value> domain;
-  for (int64_t i = 0; i < ti.num_facts(); ++i) {
-    rel::Fact fact = ti.store()->FactAt(i);
-    for (const rel::Value& v : fact.args()) domain.insert(v);
-    context.fact_index[std::move(fact)] = static_cast<int>(i);
-  }
-  for (const rel::Value& v : sentence.Constants()) domain.insert(v);
-  int rank = sentence.QuantifierRank();
+  GroundContext context{lineage, &store, store.SortedDomain()};
+  std::vector<rel::Value>& domain = context.domain;
+  // Constants and fresh witnesses join the active domain; sort + unique
+  // makes it one ordered set whatever a value's origin, so node ids and
+  // fingerprints depend only on the facts and the sentence.
+  for (const rel::Value& v : sentence.Constants()) domain.push_back(v);
+  const int rank = sentence.QuantifierRank();
   for (int i = 0; i < rank; ++i) {
-    domain.insert(rel::Value::Symbol("$fresh" + std::to_string(i)));
+    domain.push_back(rel::Value::Symbol("$fresh" + std::to_string(i)));
   }
-  context.domain.assign(domain.begin(), domain.end());
+  std::sort(domain.begin(), domain.end());
+  domain.erase(std::unique(domain.begin(), domain.end()), domain.end());
   logic::Assignment assignment;
   return Ground(context, sentence, &assignment);
 }

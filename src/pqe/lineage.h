@@ -87,26 +87,19 @@ class Lineage {
 /// Variable i of the lineage is global fact i of the TI's store.
 /// Quantifiers follow the infinite-universe semantics of
 /// logic/evaluator.h (adom(T) ∪ consts(φ) ∪ fresh elements). Delegates
-/// to the columnar overload below.
+/// to the store overload below.
 StatusOr<NodeId> GroundSentence(const pdb::TiPdb<double>& ti,
                                 const logic::Formula& sentence,
                                 Lineage* lineage);
 
-/// Columnar grounding: atom lookups are dictionary probes plus one
-/// binary search in the relation's sorted run — no per-call
-/// std::map<Fact, int> is materialized. Variable i of the lineage is
-/// global fact i of the store; the produced lineage (node ids, domain
-/// order, hence fingerprints) is identical to the TiPdb overload's.
+/// The grounder: atom lookups are dictionary probes plus one binary
+/// search in the relation's sorted run (TiStore::FindFact). Quantifiers
+/// range over one sorted domain, so the produced lineage (node ids,
+/// hence fingerprints) depends only on the store's facts and the
+/// sentence.
 StatusOr<NodeId> GroundSentence(const storage::TiStore& store,
                                 const logic::Formula& sentence,
                                 Lineage* lineage);
-
-/// The pre-columnar path — materializes every fact into an ordered
-/// fact-index map per call. Kept as the benchmark baseline the storage
-/// gate measures against; prefer GroundSentence.
-StatusOr<NodeId> GroundSentenceLegacy(const pdb::TiPdb<double>& ti,
-                                      const logic::Formula& sentence,
-                                      Lineage* lineage);
 
 }  // namespace pqe
 }  // namespace ipdb

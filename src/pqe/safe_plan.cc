@@ -456,7 +456,7 @@ StatusOr<T> LiftedPlan::EvaluateStoreImpl(const storage::TiStore& store,
 
   // The recursive plan walk. A local struct so the recursion can carry
   // the sticky budget error without threading StatusOr through every
-  // semiring operation (the WmcSolver pattern).
+  // semiring operation (as the d-DNNF compiler does).
   struct Evaluator {
     const LiftedPlan& plan;
     std::vector<std::vector<Row>>& tables;

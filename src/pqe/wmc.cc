@@ -2,18 +2,17 @@
 
 #include <algorithm>
 #include <iterator>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "kc/cache.h"
+#include "kc/compile.h"
 #include "kc/evaluate.h"
 #include "logic/evaluator.h"
 #include "obs/obs.h"
 #include "pqe/monte_carlo.h"
 #include "pqe/safe_plan.h"
-#include "util/check.h"
 #include "util/fault.h"
 
 namespace ipdb {
@@ -31,198 +30,32 @@ namespace {
 [[maybe_unused]] const obs::LabelId kQualityFailed =
     obs::InternLabel("failed");
 
-/// Mirrors a per-query WmcStats delta into the cumulative registry
-/// counters, so every path through the solver feeds the same process-
-/// wide tallies the public struct reports per call.
-void MirrorWmcStats([[maybe_unused]] const WmcStats& delta) {
+/// Adds a per-query WmcStats delta to the caller's stats (when given)
+/// and to the cumulative registry counters, so every exact rung feeds
+/// the same process-wide tallies the public struct reports per call.
+void ReportWmcStats(const WmcStats& delta, WmcStats* stats) {
+  if (stats != nullptr) {
+    stats->shannon_expansions += delta.shannon_expansions;
+    stats->decompositions += delta.decompositions;
+    stats->cache_hits += delta.cache_hits;
+  }
   IPDB_OBS_COUNT("pqe.wmc.shannon_expansions", delta.shannon_expansions);
   IPDB_OBS_COUNT("pqe.wmc.decompositions", delta.decompositions);
   IPDB_OBS_COUNT("pqe.wmc.cache_hits", delta.cache_hits);
 }
 
-class WmcSolver {
- public:
-  WmcSolver(Lineage* lineage, const std::vector<double>& var_probs,
-            WmcStats* stats, const WmcOptions& options)
-      : lineage_(*lineage),
-        var_probs_(var_probs),
-        stats_(stats),
-        options_(options),
-        max_depth_(options.budget != nullptr
-                       ? options.budget->max_recursion_depth
-                       : 0),
-        meter_(options.budget,
-               options.budget != nullptr ? options.budget->max_circuit_nodes
-                                         : 0,
-               "pqe.wmc node") {}
-
-  /// OK, or the budget error that aborted solving. Once set, every
-  /// further Solve returns 0.0 and unwinds without doing real work.
-  const Status& error() const { return error_; }
-
-  double Solve(NodeId id) {
-    if (!error_.ok()) return 0.0;
-    // Dense cache indexed by NodeId (ids are small and contiguous);
-    // kUnsolved is a sentinel outside [0, 1], the range of every result.
-    if (static_cast<size_t>(id) < cache_.size() && cache_[id] != kUnsolved) {
-      if (stats_ != nullptr) ++stats_->cache_hits;
-      return cache_[id];
-    }
-    double result = SolveUncached(id);
-    // Never cache a placeholder computed while unwinding an abort.
-    if (!error_.ok()) return 0.0;
-    if (static_cast<size_t>(id) >= cache_.size()) {
-      // The lineage grows during solving (Restrict/MakeAnd create
-      // nodes); size up to the current node count in one step.
-      cache_.resize(static_cast<size_t>(lineage_.size()), kUnsolved);
-    }
-    cache_[id] = result;
-    return result;
-  }
-
- private:
-  double SolveUncached(NodeId id) {
-    Status charge = meter_.Charge();
-    if (!charge.ok()) {
-      error_ = std::move(charge);
-      return 0.0;
-    }
-    switch (lineage_.kind(id)) {
-      case NodeKind::kTrue:
-        return 1.0;
-      case NodeKind::kFalse:
-        return 0.0;
-      case NodeKind::kVar:
-        return var_probs_[lineage_.variable(id)];
-      case NodeKind::kNot:
-        return 1.0 - Solve(lineage_.children(id)[0]);
-      case NodeKind::kAnd:
-      case NodeKind::kOr:
-        return SolveGate(id);
-    }
-    return 0.0;
-  }
-
-  /// Groups the gate's children into connected components by shared
-  /// variables; independent components multiply (for OR via the
-  /// complement). Components with more than one child (or a single
-  /// complex child shared across) are resolved by Shannon expansion.
-  double SolveGate(NodeId id) {
-    ++depth_;
-    const double result = SolveGateImpl(id);
-    --depth_;
-    return result;
-  }
-
-  double SolveGateImpl(NodeId id) {
-    if (max_depth_ > 0 && depth_ > max_depth_) {
-      error_ = ResourceExhaustedError("pqe.wmc recursion depth cap of " +
-                                      std::to_string(max_depth_) +
-                                      " exceeded");
-      return 0.0;
-    }
-    const bool is_and = lineage_.kind(id) == NodeKind::kAnd;
-    const std::vector<NodeId>& children = lineage_.children(id);
-
-    // Union-find over children via shared variables (skipped entirely
-    // when decomposition is ablated: one big component).
-    const int n = static_cast<int>(children.size());
-    if (!options_.decompose) {
-      return SolveConnected(children, is_and);
-    }
-    std::vector<int> parent(n);
-    for (int i = 0; i < n; ++i) parent[i] = i;
-    std::function<int(int)> find = [&](int x) {
-      while (parent[x] != x) {
-        parent[x] = parent[parent[x]];
-        x = parent[x];
-      }
-      return x;
-    };
-    std::map<int, int> var_owner;
-    for (int i = 0; i < n; ++i) {
-      for (int v : lineage_.Support(children[i])) {
-        auto [it, inserted] = var_owner.emplace(v, i);
-        if (!inserted) parent[find(i)] = find(it->second);
-      }
-    }
-    std::map<int, std::vector<NodeId>> components;
-    for (int i = 0; i < n; ++i) {
-      components[find(i)].push_back(children[i]);
-    }
-    if (stats_ != nullptr && components.size() > 1) {
-      ++stats_->decompositions;
-    }
-
-    // P(AND) = Π P(component-AND); P(OR) = 1 − Π (1 − P(component-OR)).
-    double product = 1.0;
-    for (const auto& [root, members] : components) {
-      double p;
-      if (members.size() == 1) {
-        p = Solve(members[0]);
-      } else {
-        p = SolveConnected(members, is_and);
-      }
-      product *= is_and ? p : (1.0 - p);
-    }
-    return is_and ? product : 1.0 - product;
-  }
-
-  /// A variable-connected set of children of one gate: Shannon expansion
-  /// on the most frequently shared variable.
-  double SolveConnected(const std::vector<NodeId>& members, bool is_and) {
-    // Pick the variable occurring in the most members.
-    std::map<int, int> frequency;
-    for (NodeId m : members) {
-      for (int v : lineage_.Support(m)) ++frequency[v];
-    }
-    int best_var = -1;
-    int best_count = 0;
-    for (const auto& [v, count] : frequency) {
-      if (count > best_count) {
-        best_var = v;
-        best_count = count;
-      }
-    }
-    IPDB_CHECK_GE(best_var, 0);
-    if (stats_ != nullptr) ++stats_->shannon_expansions;
-
-    double p = var_probs_[best_var];
-    double total = 0.0;
-    for (int value = 0; value <= 1; ++value) {
-      double weight = value == 1 ? p : 1.0 - p;
-      if (weight == 0.0) continue;
-      std::vector<NodeId> restricted;
-      restricted.reserve(members.size());
-      for (NodeId m : members) {
-        restricted.push_back(lineage_.Restrict(m, best_var, value == 1));
-      }
-      NodeId gate = is_and ? lineage_.MakeAnd(std::move(restricted))
-                           : lineage_.MakeOr(std::move(restricted));
-      total += weight * Solve(gate);
-    }
-    return total;
-  }
-
-  static constexpr double kUnsolved = -1.0;
-
-  Lineage& lineage_;
-  const std::vector<double>& var_probs_;
-  WmcStats* stats_;
-  WmcOptions options_;
-  const int64_t max_depth_;
-  BudgetMeter meter_;
-  int64_t depth_ = 0;
-  Status error_;
-  std::vector<double> cache_;
-};
+/// A compilation trace in the WmcStats vocabulary.
+WmcStats TraceOf(const kc::CompileStats& trace) {
+  return WmcStats{trace.decisions, trace.decompositions, trace.cache_hits,
+                  0};
+}
 
 }  // namespace
 
 StatusOr<double> ComputeProbability(Lineage* lineage, NodeId root,
                                     const std::vector<double>& var_probs,
                                     WmcStats* stats,
-                                    const WmcOptions& options) {
+                                    const ExecutionBudget* budget) {
   if (lineage == nullptr) return InvalidArgumentError("null lineage");
   if (root < 0 || root >= lineage->size()) {
     return InvalidArgumentError("lineage root out of range");
@@ -240,22 +73,20 @@ StatusOr<double> ComputeProbability(Lineage* lineage, NodeId root,
   IPDB_FAULT_POINT("pqe.wmc.solve");
   IPDB_OBS_SPAN("pqe.wmc_solve", "pqe");
   IPDB_OBS_SCOPED_TIMER("pqe.wmc_solve_ns");
-  // Always collect stats locally so the registry sees the trace even
-  // when the caller passed no stats struct.
-  WmcStats local;
-  WmcSolver solver(lineage, var_probs, &local, options);
-  const double result = solver.Solve(root);
-  if (!solver.error().ok()) {
-    return IPDB_STATUS_FORWARD(solver.error()) << "WMC solve aborted";
-  }
-  if (stats != nullptr) {
-    stats->shannon_expansions += local.shannon_expansions;
-    stats->decompositions += local.decompositions;
-    stats->cache_hits += local.cache_hits;
-  }
+  if (budget != nullptr && budget->unlimited()) budget = nullptr;
+  kc::CompileOptions compile_options;
+  compile_options.budget = budget;
+  StatusOr<kc::CompiledQuery> compiled =
+      kc::CompileLineage(lineage, root, compile_options);
+  if (!compiled.ok()) return compiled.status();
+  BudgetMeter meter(budget, 0, "pqe.wmc_solve");
+  StatusOr<double> probability = kc::EvaluateCircuit<double>(
+      compiled.value().circuit, compiled.value().root, var_probs,
+      budget != nullptr ? &meter : nullptr);
+  if (!probability.ok()) return probability.status();
   IPDB_OBS_COUNT("pqe.wmc.solves", 1);
-  MirrorWmcStats(local);
-  return result;
+  ReportWmcStats(TraceOf(compiled.value().stats), stats);
+  return probability;
 }
 
 StatusOr<double> QueryProbability(const pdb::TiPdb<double>& ti,
@@ -311,10 +142,11 @@ StatusOr<QueryAnswer> QueryProbability(const pdb::TiPdb<double>& ti,
       if (probability.ok()) {
         // The lifted independence steps are decompositions in the
         // WmcStats vocabulary; no Shannon expansion ever happens here.
-        const int64_t decompositions =
-            plan_stats.independent_joins + plan_stats.independent_projects;
-        if (stats != nullptr) stats->decompositions += decompositions;
-        MirrorWmcStats(WmcStats{0, decompositions, 0, 0});
+        ReportWmcStats(WmcStats{0,
+                                plan_stats.independent_joins +
+                                    plan_stats.independent_projects,
+                                0, 0},
+                       stats);
         IPDB_OBS_COUNT("pqe.lifted.answers", 1);
         IPDB_OBS_COUNT_LABELED("pqe.answers", "quality", kQualityExact, 1);
         QueryAnswer answer;
@@ -382,19 +214,11 @@ StatusOr<QueryAnswer> QueryProbability(const pdb::TiPdb<double>& ti,
     }
 
     IPDB_OBS_SPAN("pqe.evaluate", "pqe");
-    if (stats != nullptr) {
-      // Replay the compilation trace (from the artifact on a hit) so the
-      // counters describe the query's inference structure either way.
-      stats->shannon_expansions += artifact->stats.decisions;
-      stats->decompositions += artifact->stats.decompositions;
-      stats->cache_hits += artifact->stats.cache_hits;
-      if (was_hit) ++stats->artifact_cache_hits;
-    }
-    // The registry's cumulative view of the same replayed trace (the
+    // Replay the compilation trace (from the artifact on a hit) so the
+    // counters describe the query's inference structure either way (the
     // artifact-cache hit itself is counted inside kc::CompiledQueryCache).
-    MirrorWmcStats(WmcStats{artifact->stats.decisions,
-                            artifact->stats.decompositions,
-                            artifact->stats.cache_hits, 0});
+    ReportWmcStats(TraceOf(artifact->stats), stats);
+    if (stats != nullptr && was_hit) ++stats->artifact_cache_hits;
     BudgetMeter meter(budget, 0, "pqe.evaluate");
     StatusOr<double> probability = kc::EvaluateCircuit<double>(
         artifact->circuit, artifact->root, probs,

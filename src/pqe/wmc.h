@@ -12,25 +12,12 @@
 namespace ipdb {
 namespace pqe {
 
-/// Exact weighted model counting over a lineage DAG: the probability
-/// that independent variables (variable i true with probability
-/// `var_probs[i]`) satisfy the formula.
-///
-/// Algorithm: negation is probability-complementation; conjunctions and
-/// disjunctions of *variable-disjoint* parts multiply (resp. combine via
-/// inclusion–exclusion on the complement); everything else falls back to
-/// Shannon expansion on the most-shared variable, with memoization on
-/// hash-consed node ids. Exponential in the worst case (PQE is #P-hard
-/// in general [17]) but fast on decomposable lineages.
-///
-/// `QueryProbability` no longer runs this solver: it compiles the
-/// lineage into a d-DNNF circuit (kc/compile.h) through a process-wide
-/// LRU artifact cache and evaluates the circuit, so repeated queries
-/// with updated marginals skip everything but a circuit-linear pass.
-/// For a compiled query the stats report the *compilation* trace
-/// (replayed from the cached artifact on a hit) plus
-/// `artifact_cache_hits`; `ComputeProbability` remains the direct
-/// Shannon/decomposition solver (parity baseline and ablations).
+/// How an exact answer was inferred, in the vocabulary of the d-DNNF
+/// compiler (kc/compile.h), the one exact-inference engine: Shannon
+/// decision gates, gates split into independent components, and
+/// (lineage node, polarity) memo hits. For a query answered from the
+/// artifact cache the compilation trace is replayed from the cached
+/// artifact and `artifact_cache_hits` counts the hit.
 struct WmcStats {
   int64_t shannon_expansions = 0;
   int64_t decompositions = 0;
@@ -39,24 +26,23 @@ struct WmcStats {
   int64_t artifact_cache_hits = 0;
 };
 
-/// Solver knobs. `decompose` toggles independent-component detection —
-/// on by default; off exists for the ablation benchmark (every gate then
-/// goes through Shannon expansion). `budget`, when set, governs the
-/// solver: Shannon recursion is worst-case exponential, so the deadline
-/// and cancel token are polled amortized and `max_recursion_depth` /
-/// `max_circuit_nodes` (charged per solved lineage node) bound the
-/// blow-up; a tripped budget returns its error from ComputeProbability.
-struct WmcOptions {
-  bool decompose = true;
-  const ExecutionBudget* budget = nullptr;
-};
-
+/// Exact weighted model counting over a lineage DAG: the probability
+/// that independent variables (variable i true with probability
+/// `var_probs[i]`) satisfy the formula. The one-shot form of the
+/// compile-once pipeline: kc::CompileLineage followed by one
+/// kc::EvaluateCircuit<double>, with no artifact cache in between.
+/// Exponential in the worst case (PQE is #P-hard in general [17]) but
+/// fast on decomposable lineages.
+///
 /// Rejects `var_probs` that do not cover the lineage's variables or
-/// contain entries outside [0, 1] (NaN included).
+/// contain entries outside [0, 1] (NaN included). `budget`, when set,
+/// governs both compilation (node and recursion-depth caps, deadline)
+/// and evaluation (deadline polled per circuit node); a tripped budget
+/// returns its error.
 StatusOr<double> ComputeProbability(Lineage* lineage, NodeId root,
                                     const std::vector<double>& var_probs,
                                     WmcStats* stats = nullptr,
-                                    const WmcOptions& options = {});
+                                    const ExecutionBudget* budget = nullptr);
 
 /// End-to-end PQE: Pr_{I ~ ti}(I ⊨ φ). Hierarchical self-join-free CQs
 /// are answered by the lifted safe-plan engine (safe_plan.h, linear-ish

@@ -1,6 +1,8 @@
 #include "relational/parse.h"
 
 #include <cctype>
+#include <charconv>
+#include <cstdint>
 #include <vector>
 
 namespace ipdb {
@@ -69,7 +71,14 @@ class Cursor {
       if (pos_ == start + (c == '-' ? 1u : 0u)) {
         return Error("expected digits");
       }
-      return Value::Int(std::stoll(text_.substr(start, pos_ - start)));
+      int64_t number = 0;
+      const std::from_chars_result parsed =
+          std::from_chars(text_.data() + start, text_.data() + pos_, number);
+      if (parsed.ec != std::errc()) {
+        pos_ = start;
+        return Error("integer literal out of the 64-bit range");
+      }
+      return Value::Int(number);
     }
     StatusOr<std::string> word = Identifier();
     if (!word.ok()) return word.status();

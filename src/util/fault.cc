@@ -33,7 +33,7 @@ const char* const kSites[] = {
     "pqe.lifted.evaluate",    // lifted safe-plan evaluation entry
     "pqe.mc.shard",           // Monte Carlo: per-shard body
     "pqe.query.fallback",     // degradation ladder: MC fallback branch
-    "pqe.wmc.solve",          // legacy WMC solver entry
+    "pqe.wmc.solve",          // one-shot compile + evaluate entry
     "server.shutdown",        // query service: drain/stop path
     "util.pool.task",         // thread pool: per-index task wrapper
 };

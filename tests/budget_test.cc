@@ -306,10 +306,8 @@ TEST(WmcBudgetTest, ComputeProbabilityDepthCapAborts) {
   std::vector<double> probs(12, 0.5);
   ExecutionBudget budget;
   budget.max_recursion_depth = 1;
-  pqe::WmcOptions options;
-  options.budget = &budget;
   StatusOr<double> result =
-      pqe::ComputeProbability(&lineage, root, probs, nullptr, options);
+      pqe::ComputeProbability(&lineage, root, probs, nullptr, &budget);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
 }
@@ -326,10 +324,8 @@ TEST(WmcBudgetTest, ComputeProbabilityGenerousBudgetMatches) {
   ExecutionBudget budget;
   budget.max_circuit_nodes = 1 << 20;
   budget.max_recursion_depth = 1 << 20;
-  pqe::WmcOptions options;
-  options.budget = &budget;
   StatusOr<double> governed =
-      pqe::ComputeProbability(&b, root_b, probs, nullptr, options);
+      pqe::ComputeProbability(&b, root_b, probs, nullptr, &budget);
   ASSERT_TRUE(governed.ok());
   EXPECT_DOUBLE_EQ(plain.value(), governed.value());
 }

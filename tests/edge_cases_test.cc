@@ -314,12 +314,10 @@ TEST(EdgeCasesTest, DegenerateBudgetsFailCleanlyNotFatally) {
   ASSERT_FALSE(node_capped.ok());
   EXPECT_EQ(node_capped.status().code(), StatusCode::kResourceExhausted);
 
-  // The direct WMC solver under the same degenerate budgets.
+  // The one-shot compile + evaluate under the same node cap.
   std::vector<double> probs(10, 0.5);
-  pqe::WmcOptions wmc_options;
-  wmc_options.budget = &one_node;
   StatusOr<double> wmc =
-      pqe::ComputeProbability(&lineage, root, probs, nullptr, wmc_options);
+      pqe::ComputeProbability(&lineage, root, probs, nullptr, &one_node);
   ASSERT_FALSE(wmc.ok());
   EXPECT_EQ(wmc.status().code(), StatusCode::kResourceExhausted);
 }

@@ -63,12 +63,12 @@ struct ScratchDir {
 /// A representative pass over the governed query pipeline, reaching
 /// every registered fault site: the lifted safe-plan rung, grounding,
 /// the artifact cache (lookup and, on a miss, compile + insert), exact
-/// circuit evaluation, the direct WMC solver, the Monte Carlo fallback
-/// (budget-forced), the thread pool, the serving engine's drain path,
-/// and the durability subsystem (snapshot write + rename, WAL append,
-/// WAL replay on recovery). `salt` varies the query structure so each
-/// invocation is a cache miss and the compile-path sites stay
-/// reachable.
+/// circuit evaluation, one-shot ComputeProbability, the Monte Carlo
+/// fallback (budget-forced), the thread pool, the serving engine's
+/// drain path, and the durability subsystem (snapshot write + rename,
+/// WAL append, WAL replay on recovery). `salt` varies the query
+/// structure so each invocation is a cache miss and the compile-path
+/// sites stay reachable.
 Status RepresentativeWorkload(int salt) {
   // The two-hop path query grounds to a lineage with shared variables
   // ((a&b)|(b&c)|(d&c)), which is not independence-decomposable and so
@@ -112,7 +112,7 @@ Status RepresentativeWorkload(int salt) {
       pqe::QueryProbability(ti, sentence.value(), options);
   if (!degraded.ok()) return degraded.status();
 
-  // Direct Shannon/decomposition solver (pqe.wmc.solve).
+  // One-shot compile + evaluate, no artifact cache (pqe.wmc.solve).
   pqe::Lineage lineage;
   StatusOr<pqe::NodeId> root =
       pqe::GroundSentence(ti, sentence.value(), &lineage);

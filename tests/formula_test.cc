@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "logic/parser.h"
 #include "relational/schema.h"
 
@@ -157,6 +160,27 @@ TEST(ParserTest, Errors) {
   EXPECT_FALSE(ParseFormula("(S(x)", schema).ok());      // unbalanced
   EXPECT_FALSE(ParseFormula("exists . S(x)", schema).ok());
   EXPECT_FALSE(ParseFormula("S(x) S(y)", schema).ok());  // trailing
+  // Integer literals outside int64_t are errors, not exceptions.
+  for (const char* text :
+       {"S(99999999999999999999)", "S(-99999999999999999999)",
+        "S(9223372036854775808)", "S(-9223372036854775809)"}) {
+    StatusOr<Formula> overflow = ParseFormula(text, schema);
+    ASSERT_FALSE(overflow.ok()) << text;
+    EXPECT_EQ(overflow.status().code(), StatusCode::kInvalidArgument)
+        << text;
+  }
+}
+
+TEST(ParserTest, Int64BoundsParseExactly) {
+  rel::Schema schema = TestSchema();
+  StatusOr<Formula> max = ParseFormula("S(9223372036854775807)", schema);
+  ASSERT_TRUE(max.ok()) << max.status().ToString();
+  EXPECT_EQ(max.value().terms()[0],
+            Term::Int(std::numeric_limits<int64_t>::max()));
+  StatusOr<Formula> min = ParseFormula("S(-9223372036854775808)", schema);
+  ASSERT_TRUE(min.ok()) << min.status().ToString();
+  EXPECT_EQ(min.value().terms()[0],
+            Term::Int(std::numeric_limits<int64_t>::min()));
 }
 
 TEST(ParserTest, SentenceCheck) {

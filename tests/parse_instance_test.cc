@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 namespace ipdb {
 namespace rel {
 namespace {
@@ -51,6 +54,27 @@ TEST(ParseInstanceTest, Errors) {
   EXPECT_FALSE(ParseInstance("S(1) S(2)", schema).ok());  // missing ';'
   EXPECT_FALSE(ParseInstance("S('a)", schema).ok());      // unterminated
   EXPECT_FALSE(ParseInstance("S(-)", schema).ok());       // bad number
+  // Integer literals outside int64_t are errors, not exceptions.
+  for (const char* text :
+       {"S(99999999999999999999)", "S(-99999999999999999999)",
+        "S(9223372036854775808)", "S(-9223372036854775809)"}) {
+    StatusOr<Instance> overflow = ParseInstance(text, schema);
+    ASSERT_FALSE(overflow.ok()) << text;
+    EXPECT_EQ(overflow.status().code(), StatusCode::kInvalidArgument)
+        << text;
+  }
+  EXPECT_EQ(ParseFact("R(-99999999999999999999, 0)", schema).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(ParseInstanceTest, Int64BoundsParseExactly) {
+  Schema schema = TestSchema();
+  auto fact = ParseFact("R(-9223372036854775808, 9223372036854775807)",
+                        schema);
+  ASSERT_TRUE(fact.ok()) << fact.status().ToString();
+  EXPECT_EQ(fact.value(),
+            Fact(0, {Value::Int(std::numeric_limits<int64_t>::min()),
+                     Value::Int(std::numeric_limits<int64_t>::max())}));
 }
 
 TEST(ParseFactTest, SingleFact) {

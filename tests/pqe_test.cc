@@ -192,40 +192,6 @@ TEST(WmcTest, DecompositionStatisticsReported) {
   EXPECT_GE(stats.decompositions, 1);
 }
 
-TEST(WmcTest, DecompositionAblationAgrees) {
-  // With decomposition disabled everything goes through Shannon
-  // expansion — slower, but the probabilities must be identical.
-  pdb::TiPdb<double> ti = PathTi();
-  const rel::Schema& schema = ti.schema();
-  const char* sentences[] = {
-      "exists x y z. R(x, y) & R(y, z)",
-      "S(2) & R(1, 3)",
-      "forall x y. R(x, y) -> x = 1 | x = 2",
-  };
-  WmcOptions no_decompose;
-  no_decompose.decompose = false;
-  for (const char* text : sentences) {
-    logic::Formula sentence = logic::ParseSentence(text, schema).value();
-    Lineage lineage;
-    auto root = GroundSentence(ti, sentence, &lineage);
-    ASSERT_TRUE(root.ok());
-    std::vector<double> probs;
-    for (const auto& [fact, marginal] : ti.facts()) {
-      probs.push_back(marginal);
-    }
-    WmcStats with_stats;
-    WmcStats without_stats;
-    auto with = ComputeProbability(&lineage, root.value(), probs,
-                                   &with_stats);
-    auto without = ComputeProbability(&lineage, root.value(), probs,
-                                      &without_stats, no_decompose);
-    ASSERT_TRUE(with.ok());
-    ASSERT_TRUE(without.ok());
-    EXPECT_NEAR(with.value(), without.value(), 1e-12) << text;
-    EXPECT_EQ(without_stats.decompositions, 0) << text;
-  }
-}
-
 TEST(WmcTest, SharedVariableNeedsShannon) {
   // (x ∧ y) ∨ (x ∧ z): x is shared, forcing Shannon expansion.
   Lineage lineage;

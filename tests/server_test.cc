@@ -743,6 +743,12 @@ TEST(DaemonTest, SpeaksTheLineProtocolOverLoopback) {
             "ERR INVALID_ARGUMENT");
   EXPECT_EQ(client.RoundTrip("NONSENSE").substr(0, 3), "ERR");
   EXPECT_EQ(client.RoundTrip("QUERY acme db").substr(0, 3), "ERR");
+  // A literal outside int64_t is answered as a parse error, and the
+  // daemon keeps serving.
+  EXPECT_EQ(client.RoundTrip("QUERY acme db R(99999999999999999999)")
+                .substr(0, 20),
+            "ERR INVALID_ARGUMENT");
+  EXPECT_EQ(client.RoundTrip("PING"), "PONG");
 
   // METRICS returns the one-line JSON snapshot.
   const std::string metrics = client.RoundTrip("METRICS");

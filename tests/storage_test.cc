@@ -1,10 +1,11 @@
 /// Tests for the columnar fact store: dictionary interning, column-table
-/// lookups and mutation, columnar-vs-legacy parity (grounding
-/// fingerprints, size distributions) and lifted evaluation against exact
-/// brute force on randomized instances and queries, TiPdb views that
-/// reflect later store mutations, and the generation-counter
-/// invalidation protocol (structural mutation evicts dependent compiled
-/// artifacts; probability updates keep circuits and refresh answers).
+/// lookups and mutation, grounding checked world by world against the FO
+/// evaluator (with pinned fingerprints), size distributions, and lifted
+/// evaluation against exact brute force on randomized instances and
+/// queries, TiPdb views that reflect later store mutations, and the
+/// generation-counter invalidation protocol (structural mutation evicts
+/// dependent compiled artifacts; probability updates keep circuits and
+/// refresh answers).
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 
 #include "kc/cache.h"
 #include "kc/compile.h"
+#include "logic/evaluator.h"
 #include "logic/formula.h"
 #include "logic/parser.h"
 #include "math/rational.h"
@@ -25,6 +27,7 @@
 #include "pqe/prepared.h"
 #include "pqe/safe_plan.h"
 #include "pqe/wmc.h"
+#include "relational/instance.h"
 #include "storage/column_table.h"
 #include "storage/dictionary.h"
 #include "storage/ti_store.h"
@@ -246,9 +249,13 @@ logic::Formula RandomCq(const rel::Schema& schema, int universe,
   return logic::ExistsAll(vars, logic::And(std::move(atoms)));
 }
 
-TEST(StorageParityTest, ColumnarGroundingMatchesLegacy) {
+TEST(StorageParityTest, GroundingMatchesWorldSemanticsAndPinnedFingerprints) {
   rel::Schema schema = TestSchema();
   Pcg32 rng(0xc01a7);
+  // FNV-1a fold of every lineage fingerprint in generation order: pins
+  // the grounder's exact output (variable ids, domain order, node
+  // structure) across refactors.
+  uint64_t digest = 1469598103934665603ULL;
   int checked = 0;
   while (checked < 200) {
     logic::Formula sentence = RandomCq(schema, 3, &rng);
@@ -260,20 +267,30 @@ TEST(StorageParityTest, ColumnarGroundingMatchesLegacy) {
     }
     pdb::TiPdbD ti = pdb::TiPdbD::CreateOrDie(schema, std::move(shadow));
 
-    // Structural identity: the columnar and legacy grounders must agree
-    // node for node (same var ids, same domain order), which the 128-bit
-    // fingerprint certifies.
-    pqe::Lineage legacy_lineage;
-    StatusOr<pqe::NodeId> legacy =
-        pqe::GroundSentenceLegacy(ti, sentence, &legacy_lineage);
-    pqe::Lineage columnar_lineage;
-    StatusOr<pqe::NodeId> columnar =
-        pqe::GroundSentence(*ti.store(), sentence, &columnar_lineage);
-    ASSERT_TRUE(legacy.ok()) << sentence.ToString(schema);
-    ASSERT_TRUE(columnar.ok()) << sentence.ToString(schema);
-    EXPECT_EQ(kc::LineageFingerprint(legacy_lineage, legacy.value()),
-              kc::LineageFingerprint(columnar_lineage, columnar.value()))
-        << sentence.ToString(schema);
+    // Semantics: lineage variable i is global fact i, so in each of the
+    // 2^n worlds the lineage must take the truth value the FO evaluator
+    // gives the sentence on that world.
+    pqe::Lineage lineage;
+    StatusOr<pqe::NodeId> root =
+        pqe::GroundSentence(*ti.store(), sentence, &lineage);
+    ASSERT_TRUE(root.ok()) << sentence.ToString(schema);
+    const int n = static_cast<int>(ti.num_facts());
+    for (uint32_t mask = 0; mask < (1u << n); ++mask) {
+      std::vector<bool> assignment(n);
+      std::vector<rel::Fact> chosen;
+      for (int i = 0; i < n; ++i) {
+        assignment[i] = (mask >> i) & 1;
+        if (assignment[i]) chosen.push_back(ti.store()->FactAt(i));
+      }
+      StatusOr<bool> holds = logic::Evaluate(rel::Instance(std::move(chosen)),
+                                             schema, sentence);
+      ASSERT_TRUE(holds.ok()) << sentence.ToString(schema);
+      ASSERT_EQ(lineage.Evaluate(root.value(), assignment), holds.value())
+          << sentence.ToString(schema) << " in world " << mask;
+    }
+    const auto [hi, lo] = kc::LineageFingerprint(lineage, root.value());
+    digest = (digest ^ hi) * 1099511628211ULL;
+    digest = (digest ^ lo) * 1099511628211ULL;
 
     // Same full query answer through the public ladder.
     StatusOr<double> probability =
@@ -303,6 +320,7 @@ TEST(StorageParityTest, ColumnarGroundingMatchesLegacy) {
     }
     ++checked;
   }
+  EXPECT_EQ(digest, 0x06f818fa6a0b80caULL);
 }
 
 TEST(StorageParityTest, SizeDistributionUnchangedByColumnarBacking) {
