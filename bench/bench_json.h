@@ -19,9 +19,10 @@
 // ResultLine is the single place that knows this schema: per-benchmark
 // user counters (state.counters, e.g. pqe_bench's artifact_hits) ride
 // along in each row instead of being dropped on the floor. Re-running a
-// binary replaces only its own suite's lines (matched by the
-// `"suite": "<name>"` prefix every result line carries), so several
-// binaries can feed one file.
+// binary replaces only the rows whose (suite, op) it emitted again, so
+// several binaries can feed one file, a --benchmark_filter run keeps its
+// suite's other rows, and the recorded rows of deleted benchmarks stay
+// as baselines.
 //
 // Every binary also understands two flags, parsed before Google
 // Benchmark sees the command line:
@@ -36,6 +37,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -92,23 +94,28 @@ class JsonDumpReporter : public benchmark::ConsoleReporter {
   std::vector<std::string> lines_;
 };
 
-// Rewrites `path`, keeping result lines of other suites and replacing the
-// ones belonging to `suite`.
-inline void MergeIntoFile(const std::string& path, const std::string& suite,
+// Rewrites `path` with the `fresh` rows, replacing a recorded row only
+// when `fresh` has a row with the same (suite, op).
+inline void MergeIntoFile(const std::string& path,
                           const std::vector<std::string>& fresh) {
+  // A row's (suite, op) identity: everything before its ns_per_op field.
+  auto row_key = [](const std::string& line) {
+    return line.substr(0, line.find(", \"ns_per_op\""));
+  };
+  std::set<std::string> replaced;
+  for (const std::string& line : fresh) replaced.insert(row_key(line));
   std::vector<std::string> kept;
   {
     std::ifstream in(path);
     std::string line;
     const std::string any = "{\"suite\": \"";
-    const std::string mine = any + suite + "\"";
     while (std::getline(in, line)) {
       size_t start = line.find_first_not_of(" \t");
       if (start == std::string::npos) continue;
       std::string body = line.substr(start);
       if (body.compare(0, any.size(), any) != 0) continue;  // header/footer
       if (!body.empty() && body.back() == ',') body.pop_back();
-      if (body.compare(0, mine.size(), mine) == 0) continue;
+      if (replaced.count(row_key(body)) != 0) continue;
       kept.push_back(body);
     }
   }
@@ -161,7 +168,7 @@ inline int RunWithJsonDump(int argc, char** argv, const std::string& suite,
   JsonDumpReporter reporter;
   reporter.set_suite(suite);
   benchmark::RunSpecifiedBenchmarks(&reporter);
-  MergeIntoFile(json_path, suite, reporter.lines());
+  MergeIntoFile(json_path, reporter.lines());
   std::fprintf(stderr, "wrote %zu result(s) for suite '%s' to %s\n",
                reporter.lines().size(), suite.c_str(), json_path.c_str());
 

@@ -263,7 +263,7 @@ int Run(int argc, char** argv) {
                                            row.ns_per_op, row.iterations,
                                            row.counters));
   }
-  bench_json::MergeIntoFile(json_path, "durability_bench", lines);
+  bench_json::MergeIntoFile(json_path, lines);
   std::printf("wrote %s\n", json_path.c_str());
 
   for (const char* file : {"/db/snapshot.ipdb", "/db/snapshot.ipdb.tmp",

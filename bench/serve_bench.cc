@@ -499,7 +499,7 @@ int Run(int argc, char** argv) {
     std::fprintf(stderr, "stop: %s\n", status.ToString().c_str());
     return 1;
   }
-  bench_json::MergeIntoFile(json_path, "serve_bench", rows);
+  bench_json::MergeIntoFile(json_path, rows);
   std::fprintf(stderr, "wrote %zu result(s) for suite 'serve_bench' to %s\n",
                rows.size(), json_path.c_str());
 

@@ -11,9 +11,9 @@
 //               BM_GroundLegacy row in the repo-root BENCH_storage.json
 //               (a grounder, since deleted, that materialized a
 //               std::map<Fact, int> over the whole instance per call).
-//               Write fresh runs elsewhere, as ci.sh does: a run merged
-//               into that file replaces every storage_bench row in it,
-//               the recorded one included;
+//               A run merged into that file replaces only the rows it
+//               emits, so the recorded row survives; ci.sh still writes
+//               its fresh run elsewhere and reads both files;
 //  * re-query — after UpdateProbability, a PreparedQuery re-answer
 //               (re-read marginals + circuit re-evaluation) is ≥10×
 //               faster than the cold ground + compile + evaluate

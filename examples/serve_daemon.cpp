@@ -10,7 +10,7 @@
 //   $ ./serve_daemon --demo
 //
 // runs the same lifecycle hands-free: ephemeral port, a scripted client
-// conversation (PING / QUERY / PQUERY / METRICS / QUIT), then the
+// conversation (PING / QUERY / its alias PQUERY / METRICS / QUIT), then the
 // graceful-shutdown path — handy as a smoke run and as executable
 // documentation of the protocol.
 
@@ -91,7 +91,6 @@ int RunDemo(int port) {
   const char* script[] = {
       "PING",
       "QUERY demo social exists x y. Friend(x, y) & Active(x)",
-      "PQUERY demo social exists x y. Friend(x, y) & Active(x)",
       "PQUERY demo social exists x y. Friend(x, y) & Active(x)",
       "QUERY demo social exists x. Friend(x)",  // arity error -> ERR
       "METRICS",

@@ -40,9 +40,9 @@ namespace pqe {
 /// free of a kc dependency, the pqe layer closes the loop.
 ///
 /// Thread model: Query() and the counter accessors are safe for any
-/// number of concurrent callers on one handle — the query service
-/// shares prepared handles per tenant, so refreshes and recompiles are
-/// serialized by an internal mutex (safe-plan answers take no lock:
+/// number of concurrent callers on one handle — handles may be shared
+/// across threads, so refreshes and recompiles are serialized by an
+/// internal mutex (safe-plan answers take no lock:
 /// the plan is immutable after Prepare). Store *mutations* remain
 /// single-writer per the TiStore contract; concurrency here means many
 /// readers racing each other and the refresh machinery, not racing the

@@ -18,11 +18,13 @@ struct AdmissionOptions {
   /// Fraction of max_queue_depth above which new queries are admitted
   /// *degraded* (sample-only rung) instead of full-fidelity.
   double degrade_fraction = 0.5;
-  /// Recent-fallback-rate threshold: when more than this fraction of a
-  /// sliding window of completed queries degraded to the Monte Carlo
-  /// rung (the pqe.fallback.* signal), the exact rungs are presumed
-  /// over budget for the current load and new queries are admitted
-  /// degraded even at low queue depth. Set >= 1 to disable.
+  /// Recent-fallback-rate threshold: when at least this fraction of a
+  /// sliding window of completed queries ran out of time on the exact
+  /// rung (exact_error or the error status is kDeadlineExceeded), the
+  /// exact rungs are presumed over budget for the current load and new
+  /// queries are admitted degraded even at low queue depth. Fallbacks
+  /// forced by a circuit-node cap or by cancellation do not count: they
+  /// say nothing about load. Set > 1 to disable.
   double fallback_degrade_rate = 0.75;
   /// Completed queries in the sliding outcome window.
   int window = 64;
@@ -40,9 +42,9 @@ const char* AdmissionName(Admission admission);
 /// Closed-loop load control for the query service, in the spirit of
 /// queue-depth-driven load shedding: pressure is read from the live
 /// queue-depth gauge at submission time, and from a sliding window of
-/// completion outcomes fed back by the engine (a completed query that
-/// had to fall back to sampling is evidence the exact rungs do not fit
-/// the current load). The ladder is reject -> sample-only -> full:
+/// completion outcomes fed back by the engine (a query whose exact rung
+/// hit its deadline is evidence the exact rungs do not fit the current
+/// load). The ladder is reject -> sample-only -> full:
 /// above max_queue_depth requests shed; above degrade_fraction (or a
 /// saturated fallback window) they degrade; otherwise they run full.
 ///
@@ -56,8 +58,9 @@ class AdmissionController {
   /// already in flight (the arriving query excluded).
   Admission Decide(int64_t queue_depth);
 
-  /// Feedback from a completed query: whether it degraded to the Monte
-  /// Carlo fallback (pqe quality kInterval/kFailed or a budget trip).
+  /// Feedback from a completed query: whether its exact rung ran out of
+  /// time (the engine passes exact_error or the error status ==
+  /// kDeadlineExceeded).
   void RecordOutcome(bool fell_back);
 
   /// Fallback fraction of the current window (0 while the window has

@@ -10,6 +10,7 @@
 #include <cerrno>
 #include <csignal>
 #include <cstring>
+#include <iterator>
 #include <sstream>
 
 #include "obs/obs.h"
@@ -120,17 +121,17 @@ void Daemon::Stop() {
   {
     // Unblock connection reads so their poll loops observe the flag.
     std::lock_guard<std::mutex> lock(mu_);
-    for (int fd : connection_fds_) ::shutdown(fd, SHUT_RDWR);
+    for (const Connection& connection : connections_) {
+      if (!connection.finished) ::shutdown(connection.fd, SHUT_RDWR);
+    }
   }
   if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::thread> connections;
+  std::list<Connection> connections;
   {
     std::lock_guard<std::mutex> lock(mu_);
     connections.swap(connections_);
   }
-  for (std::thread& t : connections) {
-    if (t.joinable()) t.join();
-  }
+  for (Connection& connection : connections) connection.thread.join();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -160,13 +161,27 @@ void Daemon::AcceptLoop() {
     if (ready <= 0) continue;  // timeout or EINTR: re-check the flag
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
+    // Join the threads of closed connections (outside mu_: a finishing
+    // Serve takes it), so they do not pile up until Stop.
+    std::list<Connection> finished;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      for (auto it = connections_.begin(); it != connections_.end();) {
+        auto next = std::next(it);
+        if (it->finished) finished.splice(finished.end(), connections_, it);
+        it = next;
+      }
+    }
+    for (Connection& connection : finished) connection.thread.join();
     std::lock_guard<std::mutex> lock(mu_);
     if (stop_.load(std::memory_order_acquire)) {
       ::close(fd);
       break;
     }
-    connection_fds_.push_back(fd);
-    connections_.emplace_back([this, fd] { Serve(fd); });
+    Connection& connection = connections_.emplace_back();
+    connection.fd = fd;
+    connection.thread =
+        std::thread([this, &connection] { Serve(&connection); });
     IPDB_OBS_COUNT("serve.daemon.connections", 1);
   }
 }
@@ -189,7 +204,8 @@ bool SendAll(int fd, const std::string& response) {
 
 }  // namespace
 
-void Daemon::Serve(int fd) {
+void Daemon::Serve(Connection* connection) {
+  const int fd = connection->fd;
   std::string buffer;
   char chunk[4096];
   bool quit = false;
@@ -230,6 +246,10 @@ void Daemon::Serve(int fd) {
         break;
       }
     }
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    connection->finished = true;
   }
   ::close(fd);
 }
@@ -277,9 +297,7 @@ std::string Daemon::HandleLine(const std::string& line) {
       return "ERR INVALID_ARGUMENT usage: " + command +
              " <tenant> <instance> <formula>";
     }
-    StatusOr<QueryResult> result =
-        command == "QUERY" ? engine_->Query(tenant, instance, formula)
-                           : engine_->QueryPrepared(tenant, instance, formula);
+    StatusOr<QueryResult> result = engine_->Query(tenant, instance, formula);
     if (!result.ok()) return ErrorLine(result.status());
     return ResultLine(result.value());
   }

@@ -2,11 +2,11 @@
 #define IPDB_SERVER_DAEMON_H_
 
 #include <atomic>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "server/engine.h"
 #include "util/status.h"
@@ -31,8 +31,7 @@ struct DaemonOptions {
 ///                                            <confidence> <quality>
 ///                                            <lifted> <degraded>
 ///                                            <trace-id>
-///   PQUERY <tenant> <instance> <formula>  -> same, via the tenant's
-///                                            shared PreparedQuery
+///   PQUERY <tenant> <instance> <formula>  -> an alias of QUERY
 ///   METRICS                               -> the single-line
 ///                                            ipdb-metrics-v1 JSON
 ///   STATS                                 -> the single-line
@@ -60,10 +59,12 @@ struct DaemonOptions {
 /// a malformed formula) — a bad request never takes the daemon down.
 /// The formula is the rest of the line, spaces included.
 ///
-/// Threading: one accept loop thread plus one thread per connection,
-/// all polling a stop flag at ~100ms, so Stop converges without racing
-/// blocked reads. The daemon does not own the Engine; Stop() quiesces
-/// the daemon only (stop the engine afterwards for the full drain).
+/// Threading: one accept loop thread plus one thread per open
+/// connection, all polling a stop flag at ~100ms, so Stop converges
+/// without racing blocked reads. The accept loop joins the threads of
+/// closed connections before it admits a new one. The daemon does not
+/// own the Engine; Stop() quiesces the daemon only (stop the engine
+/// afterwards for the full drain).
 class Daemon {
  public:
   /// Longest accepted request line (bytes, excluding the newline).
@@ -95,8 +96,18 @@ class Daemon {
   static bool signal_requested();
 
  private:
+  /// One accepted connection. Serve sets `finished` under mu_ just
+  /// before it closes `fd`: from then on the descriptor number may be
+  /// reused, so Stop must not shut it down, and the thread is ready to
+  /// be joined.
+  struct Connection {
+    int fd = -1;
+    bool finished = false;  // guarded by mu_
+    std::thread thread;
+  };
+
   void AcceptLoop();
-  void Serve(int fd);
+  void Serve(Connection* connection);
   /// One request line -> one response line (no trailing newline).
   std::string HandleLine(const std::string& line);
 
@@ -108,8 +119,7 @@ class Daemon {
   std::thread accept_thread_;
 
   std::mutex mu_;
-  std::vector<std::thread> connections_;  // guarded by mu_
-  std::vector<int> connection_fds_;       // guarded by mu_
+  std::list<Connection> connections_;  // guarded by mu_
   bool started_ = false;
   bool stopped_ = false;
 };

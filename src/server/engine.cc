@@ -198,33 +198,18 @@ Status Engine::RegisterTenant(const std::string& name,
   return RegisterTenant(name, config.value());
 }
 
-StatusOr<std::shared_ptr<PendingQuery>> Engine::Submit(
-    const std::string& tenant, const std::string& instance,
-    const std::string& query) {
-  return SubmitInternal(tenant, instance, query, /*prepared=*/false);
-}
-
 StatusOr<QueryResult> Engine::Query(const std::string& tenant,
                                     const std::string& instance,
                                     const std::string& query) {
   StatusOr<std::shared_ptr<PendingQuery>> pending =
-      SubmitInternal(tenant, instance, query, /*prepared=*/false);
+      Submit(tenant, instance, query);
   if (!pending.ok()) return pending.status();
   return pending.value()->Wait();
 }
 
-StatusOr<QueryResult> Engine::QueryPrepared(const std::string& tenant,
-                                            const std::string& instance,
-                                            const std::string& query) {
-  StatusOr<std::shared_ptr<PendingQuery>> pending =
-      SubmitInternal(tenant, instance, query, /*prepared=*/true);
-  if (!pending.ok()) return pending.status();
-  return pending.value()->Wait();
-}
-
-StatusOr<std::shared_ptr<PendingQuery>> Engine::SubmitInternal(
+StatusOr<std::shared_ptr<PendingQuery>> Engine::Submit(
     const std::string& tenant, const std::string& instance,
-    const std::string& query, bool prepared) {
+    const std::string& query) {
   IPDB_OBS_COUNT("serve.submitted", 1);
   if (stopping_.load(std::memory_order_acquire)) {
     IPDB_OBS_COUNT("serve.shed", 1);
@@ -337,33 +322,24 @@ StatusOr<std::shared_ptr<PendingQuery>> Engine::SubmitInternal(
   IPDB_OBS_GAUGE_SET("serve.queue_depth", depth);
   IPDB_OBS_COUNT("serve.admitted", 1);
 
-  std::string prepared_key;
-  if (prepared) {
-    prepared_key = tenant;
-    prepared_key.push_back('\x1f');
-    prepared_key.append(instance);
-    prepared_key.push_back('\x1f');
-    prepared_key.append(query);
-  }
-
   auto pending = std::make_shared<PendingQuery>();
   pending->trace_id_ = ctx.trace_id;
   logic::Formula parsed = std::move(sentence.value());
   const int64_t admitted_ns = NowNs();
   // Post runs under trace_scope, so the pool captures ctx (span_id =
   // root) into the task closure and Execute inherits it on the worker.
-  pool_->Post([this, tenant_state, inst, parsed, prepared_key, degraded,
-               submitted_ns, admitted_ns, pending]() mutable {
-    Execute(tenant_state, std::move(inst), std::move(parsed), prepared_key,
-            degraded, submitted_ns, admitted_ns, std::move(pending));
+  pool_->Post([this, tenant_state, inst, parsed, degraded, submitted_ns,
+               admitted_ns, pending]() mutable {
+    Execute(tenant_state, std::move(inst), std::move(parsed), degraded,
+            submitted_ns, admitted_ns, std::move(pending));
   });
   return pending;
 }
 
 void Engine::Execute(TenantState* tenant,
                      std::shared_ptr<const pdb::TiPdb<double>> instance,
-                     logic::Formula sentence, const std::string& prepared_key,
-                     bool degraded, int64_t submitted_ns, int64_t admitted_ns,
+                     logic::Formula sentence, bool degraded,
+                     int64_t submitted_ns, int64_t admitted_ns,
                      std::shared_ptr<PendingQuery> pending) {
   // The request context travelled here through ThreadPool::Post;
   // ctx.span_id is the serve.request root allocated at submission.
@@ -389,63 +365,45 @@ void Engine::Execute(TenantState* tenant,
         ToQueryOptions(tenant->config, &budget, TimePointFromNs(admitted_ns),
                        degraded, &cancel_);
 
-    if (!prepared_key.empty()) {
-      StatusOr<std::shared_ptr<pqe::PreparedQuery>> handle =
-          PreparedHandle(prepared_key, instance, sentence);
-      if (!handle.ok()) {
-        outcome = handle.status();
-      } else {
-        StatusOr<double> value = handle.value()->Query();
-        if (!value.ok()) {
-          outcome = value.status();
-        } else {
-          QueryResult result;
-          result.answer.probability = value.value();
-          result.answer.half_width = 0.0;
-          result.answer.confidence = 1.0;
-          result.answer.quality = pqe::AnswerQuality::kExact;
-          result.answer.lifted = handle.value()->lifted();
-          result.prepared = true;
-          result.degraded = degraded;
-          outcome = result;
-        }
-      }
+    StatusOr<pqe::QueryAnswer> answer =
+        pqe::QueryProbability(*instance, sentence, options);
+    if (!answer.ok()) {
+      outcome = answer.status();
     } else {
-      StatusOr<pqe::QueryAnswer> answer =
-          pqe::QueryProbability(*instance, sentence, options);
-      if (!answer.ok()) {
-        outcome = answer.status();
-      } else {
-        QueryResult result;
-        result.answer = answer.value();
-        result.degraded = degraded;
-        outcome = result;
-      }
+      QueryResult result;
+      result.answer = answer.value();
+      result.degraded = degraded;
+      outcome = result;
     }
   }
 
   const int64_t finished_ns = NowNs();
   const int64_t latency_ns = finished_ns - admitted_ns;
-  bool fell_back;
   if (outcome.ok()) {
     QueryResult& result = outcome.value();
     result.queue_ns = started_ns - admitted_ns;
     result.total_ns = latency_ns;
     result.trace_id = ctx.trace_id;
-    fell_back = result.answer.quality != pqe::AnswerQuality::kExact;
     tenant->completed.fetch_add(1, std::memory_order_relaxed);
     IPDB_OBS_COUNT("serve.completed", 1);
-    if (fell_back) IPDB_OBS_COUNT("serve.fallback_answers", 1);
+    if (result.answer.quality != pqe::AnswerQuality::kExact) {
+      IPDB_OBS_COUNT("serve.fallback_answers", 1);
+    }
   } else {
-    // A budget trip with fallback disabled is still load pressure; any
-    // other error (bad query, evaluation failure) says nothing about
-    // load, so it stays out of the admission window.
-    fell_back = IsBudgetError(outcome.status());
     tenant->errors.fetch_add(1, std::memory_order_relaxed);
     IPDB_OBS_COUNT("serve.errors", 1);
   }
-  if (outcome.ok() || IsBudgetError(outcome.status())) {
-    admission_.RecordOutcome(fell_back);
+  // Load feedback: only an exact rung that ran out of time says the
+  // exact rungs do not fit the current load. A circuit-node cap (the
+  // tenant's own, or the one-node cap of a degraded admission) and
+  // cancellation say nothing about load; counting them would latch
+  // every later admission onto the degraded rung. Errors outside the
+  // budget family (bad query, evaluation failure) stay out of the window.
+  const Status& exact_error =
+      outcome.ok() ? outcome.value().answer.exact_error : outcome.status();
+  if (outcome.ok() || IsBudgetError(exact_error)) {
+    admission_.RecordOutcome(exact_error.code() ==
+                             StatusCode::kDeadlineExceeded);
   }
 
   IPDB_OBS_OBSERVE("serve.queue_ns",
@@ -473,28 +431,6 @@ void Engine::Execute(TenantState* tenant,
   obs::TraceStore::Global().Finish(ctx.trace_id);
 
   pending->Fulfill(std::move(outcome));
-}
-
-StatusOr<std::shared_ptr<pqe::PreparedQuery>> Engine::PreparedHandle(
-    const std::string& key,
-    const std::shared_ptr<const pdb::TiPdb<double>>& instance,
-    const logic::Formula& sentence) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = prepared_.find(key);
-    if (it != prepared_.end()) return it->second;
-  }
-  // Cold path outside the lock: preparing can compile. Two racers may
-  // both prepare; the loser's handle is discarded (both are correct —
-  // the artifact cache already dedupes the circuit underneath).
-  StatusOr<pqe::PreparedQuery> built =
-      pqe::PreparedQuery::Prepare(instance->store(), sentence);
-  if (!built.ok()) return built.status();
-  auto handle =
-      std::make_shared<pqe::PreparedQuery>(std::move(built.value()));
-  std::lock_guard<std::mutex> lock(mu_);
-  auto inserted = prepared_.emplace(key, handle);
-  return inserted.first->second;
 }
 
 StatusOr<TenantUsage> Engine::Usage(const std::string& tenant) const {

@@ -8,7 +8,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "durability/manager.h"
@@ -17,7 +16,6 @@
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
 #include "pdb/ti_pdb.h"
-#include "pqe/prepared.h"
 #include "pqe/wmc.h"
 #include "server/admission.h"
 #include "server/tenant.h"
@@ -48,8 +46,6 @@ struct QueryResult {
   pqe::QueryAnswer answer;
   /// Admission ran this query on the sample-only rung.
   bool degraded = false;
-  /// Answered through the tenant's shared PreparedQuery handle.
-  bool prepared = false;
   /// Admission -> execution start (time spent queued).
   int64_t queue_ns = 0;
   /// Admission -> completion (what a client observes).
@@ -111,10 +107,9 @@ struct TenantUsage {
 ///    schema, runs admission (global queue depth + the fallback-rate
 ///    signal + the tenant's own in-flight quota), and posts execution
 ///    to the pool; `Wait` on the returned handle joins the result.
-///    `Query` is the synchronous convenience.
-///  * Sessions: `QueryPrepared` routes through a per-(tenant, instance,
-///    query) shared pqe::PreparedQuery handle — repeated queries skip
-///    re-grounding/re-compiling and react incrementally to store churn.
+///    `Query` is the synchronous convenience. Every query runs
+///    pqe::QueryProbability under its tenant's budget, deadline,
+///    degraded rung and the engine's cancel token.
 ///  * Shutdown: `Stop` rejects new admissions, cancels in-flight
 ///    queries through the engine-wide CancelToken (they drain as
 ///    degraded-but-clean answers), drains the pool, and freezes a
@@ -153,15 +148,6 @@ class Engine {
   StatusOr<QueryResult> Query(const std::string& tenant,
                               const std::string& instance,
                               const std::string& query);
-
-  /// Like Query, but served through the tenant's shared PreparedQuery
-  /// handle (compile-once / re-answer-many; exact answers only). The
-  /// first call pays the cold pipeline; later calls are memoized or
-  /// incremental. Prepared handles run without a per-query deadline —
-  /// the re-answer path is orders of magnitude below any sane budget.
-  StatusOr<QueryResult> QueryPrepared(const std::string& tenant,
-                                      const std::string& instance,
-                                      const std::string& query);
 
   // --- Durability (requires EngineOptions::durability_dir) ---------
 
@@ -240,11 +226,6 @@ class Engine {
     }
   };
 
-  /// Shared body of Submit / QueryPrepared.
-  StatusOr<std::shared_ptr<PendingQuery>> SubmitInternal(
-      const std::string& tenant, const std::string& instance,
-      const std::string& query, bool prepared);
-
   /// The per-query worker task (runs on the pool). The request's
   /// TraceContext arrives via the pool's context propagation;
   /// `submitted_ns` (request entry) anchors the synthesized
@@ -252,15 +233,8 @@ class Engine {
   /// serve.queue wait span.
   void Execute(TenantState* tenant,
                std::shared_ptr<const pdb::TiPdb<double>> instance,
-               logic::Formula sentence, const std::string& prepared_key,
-               bool degraded, int64_t submitted_ns, int64_t admitted_ns,
-               std::shared_ptr<PendingQuery> pending);
-
-  /// Returns (creating on first use) the shared prepared handle.
-  StatusOr<std::shared_ptr<pqe::PreparedQuery>> PreparedHandle(
-      const std::string& key,
-      const std::shared_ptr<const pdb::TiPdb<double>>& instance,
-      const logic::Formula& sentence);
+               logic::Formula sentence, bool degraded, int64_t submitted_ns,
+               int64_t admitted_ns, std::shared_ptr<PendingQuery> pending);
 
   /// Loads every instance under the durability root; returns the count
   /// and records the first per-instance failure (boot continues).
@@ -280,8 +254,6 @@ class Engine {
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<TenantState>> tenants_;
   std::map<std::string, std::shared_ptr<const pdb::TiPdb<double>>> instances_;
-  std::unordered_map<std::string, std::shared_ptr<pqe::PreparedQuery>>
-      prepared_;
   kc::CacheOwner next_owner_ = 1;
 
   std::atomic<int64_t> in_flight_total_{0};

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 
 #include "obs/context.h"
 #include "obs/obs.h"
-#include "util/check.h"
 #include "util/fault.h"
 
 namespace ipdb {
@@ -62,27 +62,71 @@ struct TryBatchState {
   }
 };
 
+/// One ParallelFor call's shared state. Helpers hold it by shared_ptr,
+/// so a helper that starts after the call returned finds the counter
+/// exhausted and retires without touching fn.
+struct Batch {
+  Batch(int64_t n, const std::function<void(int64_t)>& fn)
+      : size(n), fn(&fn) {}
+
+  /// Claims and runs indices until none is left.
+  void Run() {
+    int64_t done = 0;
+    for (;;) {
+      const int64_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= size) break;
+      (*fn)(i);
+      ++done;
+    }
+    if (done == 0) return;
+    std::lock_guard<std::mutex> lock(mu);
+    completed += done;
+    if (completed == size) done_cv.notify_all();
+  }
+
+  std::atomic<int64_t> next{0};
+  const int64_t size;
+  const std::function<void(int64_t)>* const fn;
+  std::mutex mu;
+  std::condition_variable done_cv;
+  int64_t completed = 0;  // guarded by mu
+};
+
+/// ParallelFor over `pool` with at most `helpers` posted helper tasks.
+/// The caller claims indices too and then waits only for indices that
+/// other threads claimed, never for a queued helper to start — which is
+/// what makes nested and concurrent calls deadlock-free.
+void RunBatch(ThreadPool& pool, int64_t n,
+              const std::function<void(int64_t)>& fn, int64_t helpers) {
+  if (n <= 0) return;
+  IPDB_OBS_COUNT("util.pool.batches", 1);
+  IPDB_OBS_COUNT("util.pool.indices", n);
+  helpers = std::min({helpers, static_cast<int64_t>(pool.thread_count() - 1),
+                      n - 1});
+  if (helpers <= 0) {
+    for (int64_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  auto batch = std::make_shared<Batch>(n, fn);
+  for (int64_t h = 0; h < helpers; ++h) pool.Post([batch] { batch->Run(); });
+  batch->Run();
+  std::unique_lock<std::mutex> lock(batch->mu);
+  batch->done_cv.wait(lock, [&] { return batch->completed == n; });
+}
+
+/// The free functions' executor: one pool for the whole process, so a
+/// call pays no thread creation.
+ThreadPool& SharedPool() {
+  static ThreadPool pool(HardwareThreadCount());
+  return pool;
+}
+
 }  // namespace
 
 int HardwareThreadCount() {
   unsigned n = std::thread::hardware_concurrency();
   return n == 0 ? 1 : static_cast<int>(n);
 }
-
-/// Per-batch state. Heap-allocated and shared so that a worker which
-/// wakes up late (after the batch already completed and a new one was
-/// posted) still claims against the *old* exhausted counter and retires
-/// harmlessly instead of stealing indices from the new batch.
-struct ThreadPool::Batch {
-  std::atomic<int64_t> next{0};
-  int64_t size = 0;
-  const std::function<void(int64_t)>* fn = nullptr;
-  int64_t completed = 0;  // guarded by the pool's mu_
-  // The submitter's trace context at ParallelFor time; workers install
-  // it for the duration of their claim loop so spans opened inside fn
-  // attach to the submitting request's span tree.
-  obs::TraceContext context;
-};
 
 ThreadPool::ThreadPool(int threads) {
   if (threads <= 0) threads = HardwareThreadCount();
@@ -104,36 +148,22 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::WorkerLoop() {
-  uint64_t seen_epoch = 0;
   for (;;) {
     std::function<void()> task;
-    std::shared_ptr<Batch> batch;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [&] {
-        return stop_ || epoch_ != seen_epoch || !tasks_.empty();
-      });
-      if (!tasks_.empty()) {
-        // Posted tasks take priority over batch participation and are
-        // drained even while stopping: a task accepted by Post must run.
-        task = std::move(tasks_.front());
-        tasks_.pop_front();
-        ++running_tasks_;
-      } else if (stop_) {
-        return;
-      } else {
-        seen_epoch = epoch_;
-        batch = current_;
-      }
+      work_cv_.wait(lock, [&] { return stop_ || !tasks_.empty(); });
+      // Tasks are drained even while stopping: a task accepted by Post
+      // must run.
+      if (tasks_.empty()) return;
+      task = std::move(tasks_.front());
+      tasks_.pop_front();
+      ++running_tasks_;
     }
-    if (task) {
-      task();
-      std::lock_guard<std::mutex> lock(mu_);
-      --running_tasks_;
-      if (tasks_.empty() && running_tasks_ == 0) tasks_cv_.notify_all();
-    } else if (batch != nullptr) {
-      RunBatch(batch.get());
-    }
+    task();
+    std::lock_guard<std::mutex> lock(mu_);
+    --running_tasks_;
+    if (tasks_.empty() && running_tasks_ == 0) tasks_cv_.notify_all();
   }
 }
 
@@ -175,57 +205,9 @@ void ThreadPool::DrainTasks() {
   IPDB_OBS_GAUGE_SET("util.pool.task_queue_depth", 0);
 }
 
-void ThreadPool::RunBatch(Batch* batch) {
-  // Inactive contexts install as a no-op; the submitter re-installing
-  // its own context is equally harmless (saved and restored around the
-  // claim loop).
-  obs::ScopedTraceContext scope(batch->context);
-  int64_t done = 0;
-  for (;;) {
-    int64_t i = batch->next.fetch_add(1, std::memory_order_relaxed);
-    if (i >= batch->size) break;
-    (*batch->fn)(i);
-    ++done;
-  }
-  if (done > 0) {
-    std::lock_guard<std::mutex> lock(mu_);
-    batch->completed += done;
-    if (batch->completed == batch->size) done_cv_.notify_all();
-  }
-}
-
 void ThreadPool::ParallelFor(int64_t n,
                              const std::function<void(int64_t)>& fn) {
-  if (n <= 0) return;
-  IPDB_OBS_COUNT("util.pool.batches", 1);
-  IPDB_OBS_COUNT("util.pool.indices", n);
-  if (workers_.empty() || n == 1) {
-    for (int64_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  std::shared_ptr<Batch> batch = std::make_shared<Batch>();
-  batch->size = n;
-  batch->fn = &fn;
-  batch->context = obs::CurrentTraceContext();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    IPDB_CHECK(current_ == nullptr)
-        << "ThreadPool::ParallelFor is not reentrant";
-    current_ = batch;
-    ++epoch_;
-  }
-  // Queue depth at batch granularity: the whole batch is outstanding
-  // while it runs, 0 when the pool is idle (per-index updates would put
-  // an atomic write in the work-claiming hot loop).
-  IPDB_OBS_GAUGE_SET("util.pool.queue_depth", n);
-  work_cv_.notify_all();
-  RunBatch(batch.get());
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [&] { return batch->completed == batch->size; });
-    current_.reset();
-  }
-  IPDB_OBS_GAUGE_SET("util.pool.queue_depth", 0);
+  RunBatch(*this, n, fn, thread_count() - 1);
 }
 
 Status ThreadPool::TryParallelFor(int64_t n,
@@ -233,8 +215,7 @@ Status ThreadPool::TryParallelFor(int64_t n,
                                   const CancelToken* cancel) {
   if (n <= 0) return Status::Ok();
   TryBatchState state;
-  std::function<void(int64_t)> task = state.Wrap(fn, cancel);
-  ParallelFor(n, task);
+  RunBatch(*this, n, state.Wrap(fn, cancel), thread_count() - 1);
   return state.Result(cancel);
 }
 
@@ -245,8 +226,7 @@ void ParallelFor(int threads, int64_t n,
     for (int64_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  ThreadPool pool(static_cast<int>(std::min<int64_t>(threads, n)));
-  pool.ParallelFor(n, fn);
+  RunBatch(SharedPool(), n, fn, threads - 1);
 }
 
 Status TryParallelFor(int threads, int64_t n,
@@ -266,8 +246,9 @@ Status TryParallelFor(int threads, int64_t n,
     }
     return Status::Ok();
   }
-  ThreadPool pool(static_cast<int>(std::min<int64_t>(threads, n)));
-  return pool.TryParallelFor(n, fn, cancel);
+  TryBatchState state;
+  RunBatch(SharedPool(), n, state.Wrap(fn, cancel), threads - 1);
+  return state.Result(cancel);
 }
 
 }  // namespace ipdb

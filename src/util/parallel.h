@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -19,11 +18,18 @@ namespace ipdb {
 /// platform reports nothing).
 int HardwareThreadCount();
 
-/// A small fixed-size pool of worker threads executing index-range
-/// batches. The pool exists so that the Monte Carlo hot paths
-/// (pdb::Accumulate, pqe::EstimateQueryProbability) can fan work out
-/// without paying thread creation per call; later sharding/batching
-/// layers build on the same primitive.
+/// A small fixed-size pool of worker threads running posted tasks. The
+/// pool exists so that the Monte Carlo hot paths (pdb::Accumulate,
+/// pqe::EstimateQueryProbability) can fan work out without paying
+/// thread creation per call, and so that the serving layer has one
+/// executor for its queries.
+///
+/// ParallelFor is built on Post: it posts helper tasks that claim
+/// indices from a counter shared by that one call, while the caller
+/// claims indices too. The caller waits only for indices that were
+/// claimed, never for a helper to start, so ParallelFor may be called
+/// concurrently from several threads and from inside fn (nesting), on
+/// the same pool, without deadlock.
 ///
 /// Determinism: the pool schedules *which thread* runs which index
 /// non-deterministically, so callers that need reproducible results must
@@ -34,35 +40,33 @@ int HardwareThreadCount();
 class ThreadPool {
  public:
   /// Spawns `threads - 1` workers; `threads <= 0` means
-  /// HardwareThreadCount(). The calling thread participates in
-  /// ParallelFor batches, so the pool runs work on `threads` threads
-  /// total.
+  /// HardwareThreadCount(). The calling thread takes part in its own
+  /// ParallelFor calls, so a call runs on up to `threads` threads.
   explicit ThreadPool(int threads);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Threads participating in a batch (workers plus the caller).
+  /// Threads a ParallelFor call can use (workers plus the caller).
   int thread_count() const { return static_cast<int>(workers_.size()) + 1; }
 
   /// Runs fn(i) for every i in [0, n); blocks until all indices complete.
   /// Indices are claimed dynamically (an atomic counter), so fn must be
-  /// safe to call concurrently from multiple threads. Not reentrant: do
-  /// not call ParallelFor from inside fn or from two threads at once.
+  /// safe to call concurrently from multiple threads. Reentrant: fn may
+  /// call ParallelFor, and several threads may call it at once.
   ///
-  /// The caller's obs::TraceContext is captured into the batch and
-  /// installed on every participating thread for the duration of its
-  /// claim loop, so spans opened inside fn join the submitting request's
+  /// The caller's obs::TraceContext travels with every helper (see
+  /// Post), so spans opened inside fn join the submitting request's
   /// span tree.
   void ParallelFor(int64_t n, const std::function<void(int64_t)>& fn);
 
   /// Error-propagating ParallelFor. Runs fn(i) for i in [0, n) until the
   /// first error: once any index returns non-OK (or `cancel` trips), the
   /// remaining unstarted indices are *drained* — claimed but not
-  /// executed — so the batch still completes promptly and the pool is
-  /// reusable afterwards. In-flight indices on other threads run to
-  /// completion; fn is never interrupted mid-call.
+  /// executed — so the call still completes promptly. In-flight indices
+  /// on other threads run to completion; fn is never interrupted
+  /// mid-call.
   ///
   /// Returns OK when every index ran and succeeded; otherwise the error
   /// of the lowest-numbered failed index that actually executed (so a
@@ -72,10 +76,10 @@ class ThreadPool {
                         const CancelToken* cancel = nullptr);
 
   /// Enqueues a one-off task for the worker threads and returns
-  /// immediately. Tasks run concurrently with each other (and with
-  /// ParallelFor batches) on whichever worker picks them up first, in
-  /// FIFO claim order; they are the serving layer's unit of work (one
-  /// posted task per admitted query). On a pool with no workers
+  /// immediately. Tasks run concurrently with each other on whichever
+  /// worker picks them up first, in FIFO claim order; they are the
+  /// serving layer's unit of work (one posted task per admitted query)
+  /// and ParallelFor's helpers. On a pool with no workers
   /// (`threads == 1`) the task runs inline before Post returns.
   ///
   /// Tasks posted before the destructor runs are drained, not dropped:
@@ -96,34 +100,29 @@ class ThreadPool {
   void DrainTasks();
 
  private:
-  struct Batch;
-
   void WorkerLoop();
-  void RunBatch(Batch* batch);
 
   std::vector<std::thread> workers_;
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
   std::condition_variable tasks_cv_;
-  uint64_t epoch_ = 0;               // bumped when a new batch is posted
-  std::shared_ptr<Batch> current_;   // null when no batch is in flight
   std::deque<std::function<void()>> tasks_;  // posted, not yet claimed
   int64_t running_tasks_ = 0;        // claimed, not yet finished
   bool stop_ = false;
 };
 
-/// One-shot ParallelFor over a transient pool: runs fn(i) for i in [0, n)
-/// on up to `threads` threads (including the caller). threads == 1 (or
-/// n <= 1) degrades to a plain sequential loop with zero threading
-/// overhead; threads <= 0 means HardwareThreadCount().
+/// ParallelFor on the process-wide pool (HardwareThreadCount() threads,
+/// created on first use): runs fn(i) for i in [0, n) on up to `threads`
+/// threads, the caller included. threads == 1 (or n <= 1) degrades to a
+/// plain sequential loop with zero threading overhead; threads <= 0
+/// means HardwareThreadCount().
 void ParallelFor(int threads, int64_t n,
                  const std::function<void(int64_t)>& fn);
 
-/// One-shot TryParallelFor over a transient pool; same error/drain
-/// semantics as ThreadPool::TryParallelFor. threads == 1 (or n <= 1)
-/// degrades to a sequential loop that stops at the first error.
+/// TryParallelFor on the process-wide pool; same error/drain semantics
+/// as ThreadPool::TryParallelFor. threads == 1 (or n <= 1) degrades to a
+/// sequential loop that stops at the first error.
 Status TryParallelFor(int threads, int64_t n,
                       const std::function<Status(int64_t)>& fn,
                       const CancelToken* cancel = nullptr);

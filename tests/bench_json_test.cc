@@ -1,0 +1,66 @@
+/// bench_json.h's merge: a run replaces only the rows whose (suite, op)
+/// it emitted again, so a --benchmark_filter run keeps the rest of its
+/// suite and a recorded row of a deleted benchmark stays as a baseline.
+
+#include <gtest/gtest.h>
+
+#include <unistd.h>
+
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <map>
+#include <sstream>
+#include <string>
+#include <utility>
+
+#include "bench_json.h"
+#include "json_reader.h"
+
+namespace ipdb {
+namespace {
+
+using bench_json::MergeIntoFile;
+using bench_json::ResultLine;
+
+/// ns_per_op by "suite/op" for every row of the file at `path`.
+std::map<std::string, double> ReadRows(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  testjson::JsonValue doc;
+  EXPECT_TRUE(testjson::JsonParser(text.str()).Parse(&doc)) << text.str();
+  std::map<std::string, double> rows;
+  const testjson::JsonValue* results = doc.Find("results");
+  if (results == nullptr) return rows;
+  for (const testjson::JsonValue& row : results->array) {
+    rows[row.Find("suite")->string + "/" + row.Find("op")->string] =
+        row.Find("ns_per_op")->number;
+  }
+  return rows;
+}
+
+TEST(BenchJsonTest, MergeReplacesOnlyTheRowsThisRunEmitted) {
+  char path[] = "/tmp/ipdb_bench_json_XXXXXX";
+  const int fd = ::mkstemp(path);
+  ASSERT_GE(fd, 0);
+  ::close(fd);
+
+  MergeIntoFile(path, {ResultLine("storage", "BM_A", 1.0, 10, {}),
+                       ResultLine("storage", "BM_A/2", 2.0, 10, {}),
+                       ResultLine("storage", "BM_B", 3.0, 10, {})});
+  MergeIntoFile(path, {ResultLine("other", "BM_A", 4.0, 10, {})});
+  // A filtered re-run of one storage row.
+  MergeIntoFile(path, {ResultLine("storage", "BM_A", 5.0, 10,
+                                  {{"parity_abs_err", 0.0}})});
+
+  const std::map<std::string, double> rows = ReadRows(path);
+  EXPECT_EQ(rows, (std::map<std::string, double>{{"storage/BM_A", 5.0},
+                                                 {"storage/BM_A/2", 2.0},
+                                                 {"storage/BM_B", 3.0},
+                                                 {"other/BM_A", 4.0}}));
+  std::remove(path);
+}
+
+}  // namespace
+}  // namespace ipdb

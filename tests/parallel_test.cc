@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "core/paper_examples.h"
@@ -67,6 +68,36 @@ TEST(ParallelForTest, SequentialFallbackPreservesOrder) {
   ParallelFor(1, 10, [&](int64_t i) { order.push_back(i); });
   ASSERT_EQ(order.size(), 10u);
   for (int64_t i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
+}
+
+// The free functions share one process-wide pool. Concurrent callers,
+// and a ParallelFor nested inside fn, must each run every index exactly
+// once.
+TEST(ParallelForTest, ConcurrentAndNestedCallsRunEveryIndexOnce) {
+  constexpr int kCallers = 4;
+  constexpr int64_t kOuter = 64;
+  constexpr int64_t kInner = 16;
+  std::vector<std::atomic<int>> outer(kCallers * kOuter);
+  std::vector<std::atomic<int>> inner(kOuter * kInner);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      ParallelFor(4, kOuter, [&, c](int64_t i) {
+        outer[c * kOuter + i].fetch_add(1, std::memory_order_relaxed);
+        if (c != 0) return;
+        ParallelFor(4, kInner, [&, i](int64_t j) {
+          inner[i * kInner + j].fetch_add(1, std::memory_order_relaxed);
+        });
+      });
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  for (size_t k = 0; k < outer.size(); ++k) {
+    EXPECT_EQ(outer[k].load(), 1) << "outer index " << k;
+  }
+  for (size_t k = 0; k < inner.size(); ++k) {
+    EXPECT_EQ(inner[k].load(), 1) << "inner index " << k;
+  }
 }
 
 TEST(ParallelAccumulateTest, BitIdenticalAcrossThreadCounts) {

@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -335,22 +336,6 @@ TEST(EngineTest, ConcurrentServingExactParitySixteenThreads) {
             kThreads * kPerThread);
 }
 
-TEST(EngineTest, PreparedSessionsAnswerExactlyAndMemoize) {
-  pdb::TiPdbD ti = SmallInstance();
-  const pqe::QueryAnswer truth = SingleShot(ti, kUnsafeQuery);
-  Engine engine(EngineOptions{/*threads=*/2, {}});
-  ASSERT_TRUE(engine.RegisterInstance("db", ti).ok());
-  ASSERT_TRUE(engine.RegisterTenant("acme", TenantConfig{}).ok());
-  for (int round = 0; round < 3; ++round) {
-    StatusOr<QueryResult> result =
-        engine.QueryPrepared("acme", "db", kUnsafeQuery);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_TRUE(result.value().prepared);
-    EXPECT_EQ(result.value().answer.quality, pqe::AnswerQuality::kExact);
-    EXPECT_EQ(result.value().answer.probability, truth.probability);
-  }
-}
-
 TEST(EngineTest, DegradedAdmissionAnswersWithCertifiedIntervals) {
   pdb::TiPdbD ti = SmallInstance();
   const pqe::QueryAnswer safe_truth = SingleShot(ti, kSafeQuery);
@@ -381,6 +366,44 @@ TEST(EngineTest, DegradedAdmissionAnswersWithCertifiedIntervals) {
   EXPECT_GT(unsafe.value().answer.half_width, 0.0);
   EXPECT_NEAR(unsafe.value().answer.probability, unsafe_truth.probability,
               unsafe.value().answer.half_width + 0.05);
+}
+
+// A fallback forced by a circuit-node cap is not load. Counted as load,
+// one capped tenant's interval answers fill the fallback window, and from
+// then on every query of every tenant is admitted degraded at queue depth
+// zero, falls back, and refills the window.
+TEST(EngineTest, CappedFallbacksDoNotLatchDegradedAdmission) {
+  // Cold cache: a hit would answer the capped tenant exactly.
+  kc::GlobalCompiledQueryCache().Clear();
+  EngineOptions options;
+  options.threads = 1;
+  options.admission.window = 8;
+  Engine engine(options);
+  ASSERT_TRUE(engine.RegisterInstance("db", SmallInstance()).ok());
+  ASSERT_TRUE(engine
+                  .RegisterTenant("capped",
+                                  "max_circuit_nodes=1 fallback_samples=2000")
+                  .ok());
+  ASSERT_TRUE(engine.RegisterTenant("free", TenantConfig{}).ok());
+
+  for (int i = 0; i < options.admission.window; ++i) {
+    StatusOr<QueryResult> capped = engine.Query("capped", "db", kUnsafeQuery);
+    ASSERT_TRUE(capped.ok()) << capped.status().ToString();
+    EXPECT_EQ(capped.value().answer.quality, pqe::AnswerQuality::kInterval);
+    EXPECT_EQ(capped.value().answer.exact_error.code(),
+              StatusCode::kResourceExhausted);
+  }
+  EXPECT_EQ(engine.admission().FallbackRate(), 0.0);
+  for (int i = 0; i < 20; ++i) {
+    StatusOr<QueryResult> free = engine.Query("free", "db", kUnsafeQuery);
+    ASSERT_TRUE(free.ok()) << free.status().ToString();
+    EXPECT_FALSE(free.value().degraded) << "query " << i;
+    EXPECT_EQ(free.value().answer.quality, pqe::AnswerQuality::kExact);
+  }
+  EXPECT_EQ(engine.Usage("free").value().degraded, 0);
+  // Leave the cache cold again: the tests below need a capped
+  // kUnsafeQuery to miss it and sample for a while.
+  kc::GlobalCompiledQueryCache().Clear();
 }
 
 TEST(EngineTest, OverloadShedsWithUnavailable) {
@@ -730,11 +753,11 @@ TEST(DaemonTest, SpeaksTheLineProtocolOverLoopback) {
   EXPECT_EQ(lifted, 1);
   EXPECT_EQ(degraded, 0);
 
-  // PQUERY serves the prepared path with the same exact answer.
-  const std::string prepared =
+  // PQUERY is an alias of QUERY: the same exact answer.
+  const std::string alias =
       client.RoundTrip(std::string("PQUERY acme db ") + kSafeQuery);
-  EXPECT_EQ(prepared.substr(0, 3), "OK ");
-  std::istringstream reparse(prepared);
+  EXPECT_EQ(alias.substr(0, 3), "OK ");
+  std::istringstream reparse(alias);
   reparse >> tag >> probability;
   EXPECT_EQ(probability, truth.probability);
 
@@ -786,6 +809,86 @@ TEST(DaemonTest, OversizedLineGetsOneErrorThenTheConnectionCloses) {
   LineClient after(daemon.port());
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after.RoundTrip("PING"), "PONG");
+  daemon.Stop();
+  EXPECT_TRUE(engine.Stop().ok());
+}
+
+// PQUERY and QUERY are one serving path: both run the governed ladder
+// under the tenant's budget, so a tenant capped at one circuit node gets
+// a certified interval from either command.
+TEST(DaemonTest, PqueryRunsTheGovernedLadder) {
+  // Cold cache: a hit would answer the capped query exactly.
+  kc::GlobalCompiledQueryCache().Clear();
+  EngineOptions options;
+  options.threads = 2;
+  Engine engine(options);
+  ASSERT_TRUE(engine.RegisterInstance("db", SmallInstance()).ok());
+  ASSERT_TRUE(engine
+                  .RegisterTenant("capped",
+                                  "max_circuit_nodes=1 fallback_samples=2000")
+                  .ok());
+  Daemon daemon(&engine);
+  const Status started = daemon.Start();
+  if (!started.ok()) {
+    GTEST_SKIP() << "no loopback sockets here: " << started.ToString();
+  }
+  LineClient client(daemon.port());
+  ASSERT_TRUE(client.ok());
+  for (const std::string command : {"PQUERY", "QUERY"}) {
+    const std::string response =
+        client.RoundTrip(command + " capped db " + kUnsafeQuery);
+    std::istringstream parse(response);
+    std::string tag, quality;
+    double probability = -1.0, half_width = -1.0, confidence = -1.0;
+    parse >> tag >> probability >> half_width >> confidence >> quality;
+    EXPECT_EQ(tag, "OK") << response;
+    EXPECT_EQ(quality, "interval") << command << ": " << response;
+    EXPECT_GT(half_width, 0.0) << command;
+  }
+  daemon.Stop();
+  EXPECT_TRUE(engine.Stop().ok());
+}
+
+/// The process's virtual size in kB (VmSize in /proc/self/status), or -1
+/// where that file is unavailable.
+long VmSizeKb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::atol(line.c_str() + 7);
+  }
+  return -1;
+}
+
+// A closed connection's thread is joined while the daemon keeps running.
+// An unjoined thread keeps its whole stack mapping (8 MB by default), so
+// a daemon that kept one per closed connection would grow by about that
+// much per connection until Stop.
+TEST(DaemonTest, ClosedConnectionsDoNotPinThreads) {
+  EngineOptions options;
+  options.threads = 1;
+  Engine engine(options);
+  Daemon daemon(&engine);
+  const Status started = daemon.Start();
+  if (!started.ok()) {
+    GTEST_SKIP() << "no loopback sockets here: " << started.ToString();
+  }
+  auto cycle = [&daemon] {
+    LineClient client(daemon.port());
+    ASSERT_TRUE(client.ok());
+    EXPECT_EQ(client.RoundTrip("PING"), "PONG");
+    EXPECT_EQ(client.RoundTrip("QUIT"), "BYE");
+    EXPECT_TRUE(client.AtEof());
+  };
+  for (int i = 0; i < 8; ++i) cycle();  // warm the allocator
+  const long before = VmSizeKb();
+  if (before < 0) GTEST_SKIP() << "no /proc/self/status here";
+  constexpr long kCycles = 256;
+  for (long i = 0; i < kCycles; ++i) cycle();
+  const long grown_kb = VmSizeKb() - before;
+  EXPECT_LT(grown_kb, kCycles * 1024) << "VmSize grew by " << grown_kb
+                                      << " kB over " << kCycles
+                                      << " closed connections";
   daemon.Stop();
   EXPECT_TRUE(engine.Stop().ok());
 }
