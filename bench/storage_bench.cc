@@ -127,7 +127,7 @@ BENCHMARK(BM_InstanceBuild)->Arg(10000000)->Unit(benchmark::kMillisecond);
 
 /// The grounding workload: a 64-atom ground disjunction over a 10^6-fact
 /// instance. Quantifier-free on purpose, so the row times the grounder's
-/// per-call overhead: the sorted domain plus 64 binary searches.
+/// per-call overhead: 64 dictionary probes and binary searches.
 ipdb::logic::Formula GroundDisjunction(int atoms) {
   std::vector<ipdb::logic::Formula> disjuncts;
   for (int k = 0; k < atoms; ++k) {

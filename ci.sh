@@ -15,7 +15,8 @@
 # fact store (<= 48 bytes/fact at 10^7 facts as a bare store and as a
 # registered TiPdb instance, >= 5x grounding speedup over the recorded
 # object-per-tuple baseline in BENCH_storage.json, incremental re-query
-# >= 10x faster than cold), crash-safe durability (the fault leg drives
+# >= 10x faster than cold), grounding that scales linearly on the path
+# query (BM_GroundPathQuery/32 within 16x of /4), crash-safe durability (the fault leg drives
 # durability_crash through injected dur.* failures, a real kill -9, and
 # a torn WAL tail, gating bit-identical recovery; the Release leg gates
 # the WAL append overhead at <= 15% of a bare mutation), the query
@@ -298,6 +299,31 @@ print(f"  incremental re-query speedup:  {requery:6.1f}x    {verdict}")
 failed |= requery < 10.0
 
 sys.exit(1 if failed else 0)
+EOF
+
+echo "=== grounding scaling gate (Release, pqe_bench) ==="
+# The grounder binds each quantified variable from the store's rows that
+# can satisfy its body, so grounding the path query
+# exists x y z. R(x, y) & R(y, z) over an n-fact chain does work linear
+# in n: /32 should cost about 8x /4. A grounder that enumerates the whole
+# domain at every quantifier is cubic (70.6x in the BENCH_pqe.json rows
+# recorded before guard-driven grounding). Both rows come from one fresh
+# run, so the ratio does not depend on the host.
+ground_json="build-release/BENCH_ci_ground.json"
+rm -f "${ground_json}"
+./build-release/bench/pqe_bench --bench_json_out="${ground_json}" \
+  --benchmark_filter='BM_GroundPathQuery/(4|32)$' \
+  --benchmark_min_time=0.2 >/dev/null
+python3 - "${ground_json}" <<'EOF'
+import json, sys
+
+rows = {r["op"]: r for r in json.load(open(sys.argv[1]))["results"]}
+ratio = (rows["BM_GroundPathQuery/32"]["ns_per_op"]
+         / rows["BM_GroundPathQuery/4"]["ns_per_op"])
+verdict = "ok" if ratio <= 16.0 else "FAIL (> 16x)"
+print(f"  BM_GroundPathQuery/32 / BM_GroundPathQuery/4 = {ratio:5.1f}x "
+      f"(linear: ~8x)   {verdict}")
+sys.exit(1 if ratio > 16.0 else 0)
 EOF
 
 echo "=== durability gates (Release, durability_bench) ==="

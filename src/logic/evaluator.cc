@@ -1,10 +1,10 @@
 #include "logic/evaluator.h"
 
 #include <algorithm>
-#include <optional>
 #include <set>
-#include <unordered_set>
+#include <string>
 
+#include "logic/guards.h"
 #include "relational/fact.h"
 #include "util/check.h"
 
@@ -13,340 +13,259 @@ namespace logic {
 
 namespace {
 
-/// Shared evaluation state: the instance's fact set (hashed for O(1) atom
-/// lookups), the schema, and the quantifier ground set.
-struct EvalContext {
-  const rel::Schema* schema;
-  std::unordered_set<rel::Fact, rel::FactHash> facts;
-  std::vector<rel::Value> domain;
-  bool use_guards = true;
+/// A universe element by reference: slots, keys and guard candidates
+/// point into the instance's facts, the formula's constants or the
+/// quantifier domain, all of which outlive one evaluation.
+struct ValueRef {
+  const rel::Value* value = nullptr;
+  friend bool operator==(ValueRef a, ValueRef b) {
+    return *a.value == *b.value;
+  }
+  friend bool operator<(ValueRef a, ValueRef b) { return *a.value < *b.value; }
 };
 
-StatusOr<rel::Value> ResolveTerm(const Term& term,
-                                 const Assignment& assignment) {
-  if (term.is_const()) return term.value();
-  auto it = assignment.find(term.var());
-  if (it == assignment.end()) {
-    return InvalidArgumentError("unbound variable: " + term.var());
+/// Three-way compare of `fact` against (relation, key[0..key_len)) in
+/// rel::Fact order, looking only at the fact's first key_len arguments.
+/// A fact that runs out of arguments first sorts before the key, as in
+/// the lexicographic order of the instance's sorted fact vector.
+int ComparePrefix(const rel::Fact& fact, rel::RelationId relation,
+                  const ValueRef* key, int key_len) {
+  if (fact.relation() != relation) return fact.relation() < relation ? -1 : 1;
+  for (int i = 0; i < key_len; ++i) {
+    if (i == fact.arity()) return -1;
+    const rel::Value& arg = fact.args()[static_cast<size_t>(i)];
+    if (arg != *key[i].value) return arg < *key[i].value ? -1 : 1;
   }
-  return it->second;
+  return 0;
 }
 
-/// Guard analysis: a *guard* for variable x in a positive context is a
-/// relational atom that must hold (as a conjunct) for the formula to hold
-/// and that mentions x. Then x can only take values occurring at x's
-/// positions in matching facts — turning quantifier enumeration over the
-/// whole domain into a scan of the instance, which is what makes the
-/// paper's construction sentences (Claims 4.3, 5.2, 5.8) checkable in
-/// practice.
-///
-/// Returns candidates for `var` implied by a guard in `formula`, or
-/// nullopt if no guard was found. Soundness: the returned set is a
-/// superset-filter — every value of `var` making the formula true (under
-/// the current partial assignment) is in the set. Terms bound by the
-/// current assignment are matched against fact values; unbound variables
-/// other than `var` act as wildcards.
-std::optional<std::vector<rel::Value>> GuardCandidates(
-    const EvalContext& context, const Formula& formula,
-    const std::string& var, const Assignment& assignment,
-    const std::set<std::string>& shadowed = {}) {
-  switch (formula.kind()) {
-    case FormulaKind::kAtom: {
-      // Does the atom mention `var`?
-      bool mentions = false;
-      for (const Term& t : formula.terms()) {
-        if (t.is_var() && t.var() == var) mentions = true;
-      }
-      if (!mentions) return std::nullopt;
-      std::vector<rel::Value> candidates;
-      for (const rel::Fact& fact : context.facts) {
-        if (fact.relation() != formula.relation()) continue;
-        if (fact.arity() != static_cast<int>(formula.terms().size())) {
-          continue;
+/// The instance as the guard analysis reads it: facts stay in the
+/// instance's sorted vector, so a relation, or a relation with a bound
+/// argument prefix, is one contiguous range.
+struct InstanceFacts {
+  using Value = ValueRef;
+
+  const std::vector<rel::Fact>* facts;
+  const GuardedFormula* formula;
+  const std::vector<const rel::Value*>* slots;
+
+  Value Constant(int index) const {
+    return {&formula->constants()[static_cast<size_t>(index)]};
+  }
+  bool Slot(int slot, Value* value) const {
+    value->value = (*slots)[static_cast<size_t>(slot)];
+    return value->value != nullptr;
+  }
+  std::pair<std::vector<rel::Fact>::const_iterator,
+            std::vector<rel::Fact>::const_iterator>
+  Range(rel::RelationId relation, const Value* key, int key_len) const {
+    auto lo = std::partition_point(
+        facts->begin(), facts->end(), [&](const rel::Fact& fact) {
+          return ComparePrefix(fact, relation, key, key_len) < 0;
+        });
+    auto hi = std::partition_point(lo, facts->end(), [&](const rel::Fact& f) {
+      return ComparePrefix(f, relation, key, key_len) == 0;
+    });
+    return {lo, hi};
+  }
+  int64_t CountRows(rel::RelationId relation, const Value* key,
+                    int key_len) const {
+    auto [lo, hi] = Range(relation, key, key_len);
+    return hi - lo;
+  }
+  template <typename Fn>
+  void ForEachRow(rel::RelationId relation, int arity, const Value* key,
+                  int key_len, Fn fn) const {
+    auto [lo, hi] = Range(relation, key, key_len);
+    for (auto it = lo; it != hi; ++it) {
+      if (it->arity() != arity) continue;
+      const std::vector<rel::Value>& args = it->args();
+      fn([&args](int i) { return Value{&args[static_cast<size_t>(i)]}; });
+    }
+  }
+};
+
+/// One evaluation of a compiled formula over one instance.
+class Evaluator {
+ public:
+  Evaluator(const rel::Instance& instance, const rel::Schema& schema,
+            const GuardedFormula& formula, const EvalOptions& options)
+      : instance_(instance),
+        schema_(schema),
+        formula_(formula),
+        options_(options),
+        slots_(static_cast<size_t>(formula.num_slots()), nullptr),
+        facts_{&instance.facts(), &formula, &slots_},
+        guards_(formula, facts_) {}
+
+  std::vector<const rel::Value*>& slots() { return slots_; }
+  const GuardReader<InstanceFacts>& guards() const { return guards_; }
+
+  /// Extra domain elements beyond adom ∪ consts ∪ fresh (the values of
+  /// the caller's assignment).
+  void AddDomainValue(const rel::Value& value) { extra_.push_back(value); }
+
+  StatusOr<bool> Eval(int id) {
+    const GuardedFormula::Node& node = formula_.node(id);
+    switch (node.kind) {
+      case FormulaKind::kTrue:
+        return true;
+      case FormulaKind::kFalse:
+        return false;
+      case FormulaKind::kAtom: {
+        const int arity = static_cast<int>(node.terms.size());
+        if (!schema_.has_relation(node.relation) ||
+            schema_.arity(node.relation) != arity) {
+          return InvalidArgumentError("atom does not match schema: relation #" +
+                                      std::to_string(node.relation));
         }
-        bool matches = true;
-        std::optional<rel::Value> var_value;
-        for (int i = 0; i < fact.arity() && matches; ++i) {
-          const Term& t = formula.terms()[i];
-          if (t.is_const()) {
-            matches = fact.args()[i] == t.value();
-          } else if (t.var() == var) {
-            if (var_value.has_value()) {
-              matches = fact.args()[i] == *var_value;
-            } else {
-              var_value = fact.args()[i];
-            }
-          } else if (shadowed.count(t.var()) == 0) {
-            // Outer bindings constrain the match — but only for
-            // variables not re-bound by a quantifier between here and
-            // the guard query (those are wildcards).
-            auto it = assignment.find(t.var());
-            if (it != assignment.end()) {
-              matches = fact.args()[i] == it->second;
-            }
+        key_.resize(node.terms.size());
+        for (int i = 0; i < arity; ++i) {
+          StatusOr<const rel::Value*> v = Resolve(node.terms[i]);
+          if (!v.ok()) return v.status();
+          key_[static_cast<size_t>(i)].value = v.value();
+        }
+        auto [lo, hi] = facts_.Range(node.relation, key_.data(), arity);
+        for (auto it = lo; it != hi; ++it) {
+          if (it->arity() == arity) return true;
+        }
+        return false;
+      }
+      case FormulaKind::kEquals: {
+        StatusOr<const rel::Value*> lhs = Resolve(node.terms[0]);
+        if (!lhs.ok()) return lhs.status();
+        StatusOr<const rel::Value*> rhs = Resolve(node.terms[1]);
+        if (!rhs.ok()) return rhs.status();
+        return *lhs.value() == *rhs.value();
+      }
+      case FormulaKind::kNot: {
+        StatusOr<bool> inner = Eval(node.children[0]);
+        if (!inner.ok()) return inner.status();
+        return !inner.value();
+      }
+      case FormulaKind::kAnd:
+      case FormulaKind::kOr: {
+        // The first child equal to `stop` decides the connective.
+        const bool stop = node.kind == FormulaKind::kOr;
+        for (int child : node.children) {
+          StatusOr<bool> v = Eval(child);
+          if (!v.ok()) return v.status();
+          if (v.value() == stop) return stop;
+        }
+        return !stop;
+      }
+      case FormulaKind::kImplies: {
+        StatusOr<bool> premise = Eval(node.children[0]);
+        if (!premise.ok()) return premise.status();
+        if (!premise.value()) return true;
+        return Eval(node.children[1]);
+      }
+      case FormulaKind::kIff: {
+        StatusOr<bool> lhs = Eval(node.children[0]);
+        if (!lhs.ok()) return lhs.status();
+        StatusOr<bool> rhs = Eval(node.children[1]);
+        if (!rhs.ok()) return rhs.status();
+        return lhs.value() == rhs.value();
+      }
+      case FormulaKind::kExists:
+      case FormulaKind::kForall: {
+        // ∃ stops at the first true body, ∀ at the first false one. A
+        // guarded quantifier tries only its candidates: outside them the
+        // body is false (∃) or true (∀).
+        const bool is_exists = node.kind == FormulaKind::kExists;
+        const size_t slot = static_cast<size_t>(node.slot);
+        if (options_.use_guards && node.guard >= 0) {
+          std::vector<ValueRef> candidates;
+          guards_.Collect(node.guard, &candidates);
+          for (ValueRef candidate : candidates) {
+            slots_[slot] = candidate.value;
+            StatusOr<bool> v = Eval(node.children[0]);
+            if (!v.ok()) return v.status();
+            if (v.value() == is_exists) return is_exists;
           }
+          return !is_exists;
         }
-        if (matches && var_value.has_value()) {
-          candidates.push_back(*var_value);
+        for (const rel::Value& candidate : Domain()) {
+          slots_[slot] = &candidate;
+          StatusOr<bool> v = Eval(node.children[0]);
+          if (!v.ok()) return v.status();
+          if (v.value() == is_exists) return is_exists;
         }
+        return !is_exists;
       }
-      std::sort(candidates.begin(), candidates.end());
-      candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                       candidates.end());
-      return candidates;
     }
-    case FormulaKind::kAnd: {
-      // Any guarded conjunct guards the conjunction; prefer the smallest
-      // candidate set found.
-      std::optional<std::vector<rel::Value>> best;
-      for (const Formula& child : formula.children()) {
-        std::optional<std::vector<rel::Value>> guard =
-            GuardCandidates(context, child, var, assignment, shadowed);
-        if (guard.has_value() &&
-            (!best.has_value() || guard->size() < best->size())) {
-          best = std::move(guard);
-        }
-      }
-      return best;
-    }
-    case FormulaKind::kOr: {
-      // Every disjunct must guard; candidates are the union.
-      std::vector<rel::Value> all;
-      for (const Formula& child : formula.children()) {
-        std::optional<std::vector<rel::Value>> guard =
-            GuardCandidates(context, child, var, assignment, shadowed);
-        if (!guard.has_value()) return std::nullopt;
-        all.insert(all.end(), guard->begin(), guard->end());
-      }
-      std::sort(all.begin(), all.end());
-      all.erase(std::unique(all.begin(), all.end()), all.end());
-      return all;
-    }
-    case FormulaKind::kExists:
-    case FormulaKind::kForall: {
-      // ∃y ψ true at x needs ψ true for some y; ∀y ψ true at x needs ψ
-      // true for every y, hence for some y. Either way x satisfies ψ's
-      // guard (computed with y as a wildcard — a sound superset).
-      if (formula.quantified_var() == var) return std::nullopt;
-      std::set<std::string> inner = shadowed;
-      inner.insert(formula.quantified_var());
-      return GuardCandidates(context, formula.children()[0], var,
-                             assignment, inner);
-    }
-    default:
-      return std::nullopt;
+    return InternalError("unhandled formula kind");
   }
-}
 
-/// Co-guard analysis for universal quantification: candidates outside
-/// which the body is guaranteed TRUE (so ∀ only needs to check the
-/// candidates). Succeeds for bodies of the shapes
-///   Implies(γ, δ)   — body false requires γ true, so guard(γ);
-///   Or(…, ¬ψ, …)    — body false requires ψ true, so guard(ψ);
-///   ¬ψ              — likewise.
-std::optional<std::vector<rel::Value>> CoGuardCandidates(
-    const EvalContext& context, const Formula& formula,
-    const std::string& var, const Assignment& assignment,
-    const std::set<std::string>& shadowed = {}) {
-  switch (formula.kind()) {
-    case FormulaKind::kImplies:
-      return GuardCandidates(context, formula.children()[0], var,
-                             assignment, shadowed);
-    case FormulaKind::kNot:
-      return GuardCandidates(context, formula.children()[0], var,
-                             assignment, shadowed);
-    case FormulaKind::kOr: {
-      for (const Formula& child : formula.children()) {
-        if (child.kind() == FormulaKind::kNot) {
-          std::optional<std::vector<rel::Value>> guard = GuardCandidates(
-              context, child.children()[0], var, assignment, shadowed);
-          if (guard.has_value()) return guard;
-        }
+  /// adom(D) ∪ consts(φ) ∪ the assignment's values ∪ rank-many fresh
+  /// elements, sorted; built on first use.
+  const std::vector<rel::Value>& Domain() {
+    if (!domain_built_) {
+      std::set<rel::Value> domain(extra_.begin(), extra_.end());
+      for (const rel::Value& v : instance_.ActiveDomain()) domain.insert(v);
+      domain.insert(formula_.constants().begin(), formula_.constants().end());
+      // Fresh generic elements, one per quantifier level, distinct from
+      // everything above. Symbols beginning with '$' are reserved.
+      for (int i = 0; i < formula_.quantifier_rank(); ++i) {
+        domain.insert(rel::Value::Symbol("$fresh" + std::to_string(i)));
       }
-      return std::nullopt;
+      domain_.assign(domain.begin(), domain.end());
+      domain_built_ = true;
     }
-    case FormulaKind::kAnd: {
-      // False requires some conjunct false: union of co-guards, all
-      // conjuncts must have one (a conjunct without a co-guard could be
-      // falsified anywhere).
-      std::vector<rel::Value> all;
-      for (const Formula& child : formula.children()) {
-        std::optional<std::vector<rel::Value>> guard =
-            CoGuardCandidates(context, child, var, assignment, shadowed);
-        if (!guard.has_value()) return std::nullopt;
-        all.insert(all.end(), guard->begin(), guard->end());
-      }
-      std::sort(all.begin(), all.end());
-      all.erase(std::unique(all.begin(), all.end()), all.end());
-      return all;
-    }
-    case FormulaKind::kExists:
-    case FormulaKind::kForall: {
-      // ∃y ψ false at x means ψ false for every y (in particular one);
-      // ∀y ψ false at x means ψ false for some y. Either way x lies in
-      // ψ's co-guard computed with y as a wildcard.
-      if (formula.quantified_var() == var) return std::nullopt;
-      std::set<std::string> inner = shadowed;
-      inner.insert(formula.quantified_var());
-      return CoGuardCandidates(context, formula.children()[0], var,
-                               assignment, inner);
-    }
-    default:
-      return std::nullopt;
+    return domain_;
   }
-}
 
-StatusOr<bool> EvalNode(const EvalContext& context, const Formula& formula,
-                        Assignment* assignment) {
-  switch (formula.kind()) {
-    case FormulaKind::kTrue:
-      return true;
-    case FormulaKind::kFalse:
-      return false;
-    case FormulaKind::kAtom: {
-      if (!context.schema->has_relation(formula.relation()) ||
-          context.schema->arity(formula.relation()) !=
-              static_cast<int>(formula.terms().size())) {
-        return InvalidArgumentError("atom does not match schema: " +
-                                    formula.ToString(*context.schema));
-      }
-      std::vector<rel::Value> args;
-      args.reserve(formula.terms().size());
-      for (const Term& t : formula.terms()) {
-        StatusOr<rel::Value> v = ResolveTerm(t, *assignment);
-        if (!v.ok()) return v.status();
-        args.push_back(std::move(v).value());
-      }
-      return context.facts.count(rel::Fact(formula.relation(),
-                                           std::move(args))) != 0;
+ private:
+  StatusOr<const rel::Value*> Resolve(const GuardedFormula::Term& term) const {
+    if (!term.is_slot) {
+      return &formula_.constants()[static_cast<size_t>(term.index)];
     }
-    case FormulaKind::kEquals: {
-      StatusOr<rel::Value> lhs = ResolveTerm(formula.terms()[0], *assignment);
-      if (!lhs.ok()) return lhs.status();
-      StatusOr<rel::Value> rhs = ResolveTerm(formula.terms()[1], *assignment);
-      if (!rhs.ok()) return rhs.status();
-      return lhs.value() == rhs.value();
+    const rel::Value* value = slots_[static_cast<size_t>(term.index)];
+    if (value == nullptr) {
+      return InvalidArgumentError("unbound variable: " +
+                                  formula_.slot_name(term.index));
     }
-    case FormulaKind::kNot: {
-      StatusOr<bool> inner = EvalNode(context, formula.children()[0],
-                                      assignment);
-      if (!inner.ok()) return inner.status();
-      return !inner.value();
-    }
-    case FormulaKind::kAnd: {
-      for (const Formula& child : formula.children()) {
-        StatusOr<bool> v = EvalNode(context, child, assignment);
-        if (!v.ok()) return v.status();
-        if (!v.value()) return false;
-      }
-      return true;
-    }
-    case FormulaKind::kOr: {
-      for (const Formula& child : formula.children()) {
-        StatusOr<bool> v = EvalNode(context, child, assignment);
-        if (!v.ok()) return v.status();
-        if (v.value()) return true;
-      }
-      return false;
-    }
-    case FormulaKind::kImplies: {
-      StatusOr<bool> premise = EvalNode(context, formula.children()[0],
-                                        assignment);
-      if (!premise.ok()) return premise.status();
-      if (!premise.value()) return true;
-      return EvalNode(context, formula.children()[1], assignment);
-    }
-    case FormulaKind::kIff: {
-      StatusOr<bool> lhs = EvalNode(context, formula.children()[0],
-                                    assignment);
-      if (!lhs.ok()) return lhs.status();
-      StatusOr<bool> rhs = EvalNode(context, formula.children()[1],
-                                    assignment);
-      if (!rhs.ok()) return rhs.status();
-      return lhs.value() == rhs.value();
-    }
-    case FormulaKind::kExists:
-    case FormulaKind::kForall: {
-      const bool is_exists = formula.kind() == FormulaKind::kExists;
-      const std::string& var = formula.quantified_var();
-      const Formula& body = formula.children()[0];
-      // Guard analysis: restrict the iteration to the values that can
-      // matter. For ∃ these are the only values that can make the body
-      // true; for ∀ the body is vacuously true outside the co-guard set.
-      std::optional<std::vector<rel::Value>> guard;
-      if (context.use_guards) {
-        guard = is_exists
-                    ? GuardCandidates(context, body, var, *assignment)
-                    : CoGuardCandidates(context, body, var, *assignment);
-      }
-      const std::vector<rel::Value>& domain =
-          guard.has_value() ? *guard : context.domain;
-      // Save and restore any outer binding of the same name.
-      auto outer = assignment->find(var);
-      bool had_outer = outer != assignment->end();
-      rel::Value saved = had_outer ? outer->second : rel::Value();
-      for (const rel::Value& candidate : domain) {
-        (*assignment)[var] = candidate;
-        StatusOr<bool> v = EvalNode(context, body, assignment);
-        if (!v.ok()) return v.status();
-        if (v.value() == is_exists) {
-          if (had_outer) {
-            (*assignment)[var] = saved;
-          } else {
-            assignment->erase(var);
-          }
-          return is_exists;
-        }
-      }
-      if (had_outer) {
-        (*assignment)[var] = saved;
-      } else {
-        assignment->erase(var);
-      }
-      return !is_exists;
-    }
+    return value;
   }
-  return InternalError("unhandled formula kind");
-}
 
-EvalContext MakeContext(const rel::Instance& instance,
-                        const rel::Schema& schema, const Formula& formula,
-                        const Assignment& assignment) {
-  EvalContext context;
-  context.schema = &schema;
-  context.facts.reserve(instance.facts().size() * 2 + 1);
-  for (const rel::Fact& f : instance.facts()) context.facts.insert(f);
-
-  std::set<rel::Value> domain;
-  for (const rel::Value& v : instance.ActiveDomain()) domain.insert(v);
-  for (const rel::Value& v : formula.Constants()) domain.insert(v);
-  for (const auto& [name, value] : assignment) domain.insert(value);
-  // Fresh generic elements, one per quantifier level, distinct from
-  // everything above. Symbols beginning with '$' are reserved for this.
-  int rank = formula.QuantifierRank();
-  for (int i = 0; i < rank; ++i) {
-    domain.insert(rel::Value::Symbol("$fresh" + std::to_string(i)));
-  }
-  context.domain.assign(domain.begin(), domain.end());
-  return context;
-}
+  const rel::Instance& instance_;
+  const rel::Schema& schema_;
+  const GuardedFormula& formula_;
+  EvalOptions options_;
+  std::vector<const rel::Value*> slots_;
+  InstanceFacts facts_;
+  GuardReader<InstanceFacts> guards_;
+  std::vector<ValueRef> key_;  // atom probe key
+  std::vector<rel::Value> extra_;
+  std::vector<rel::Value> domain_;
+  bool domain_built_ = false;
+};
 
 }  // namespace
 
 std::vector<rel::Value> QuantifierDomain(const rel::Instance& instance,
                                          const Formula& formula) {
-  EvalContext context = MakeContext(instance, rel::Schema(), formula, {});
-  return context.domain;
+  GuardedFormula compiled(formula);
+  rel::Schema schema;
+  Evaluator evaluator(instance, schema, compiled, {});
+  return evaluator.Domain();
 }
 
 StatusOr<bool> Evaluate(const rel::Instance& instance,
                         const rel::Schema& schema, const Formula& formula,
                         const Assignment& assignment,
                         const EvalOptions& options) {
-  EvalContext context = MakeContext(instance, schema, formula, assignment);
-  context.use_guards = options.use_guards;
-  Assignment working = assignment;
-  return EvalNode(context, formula, &working);
+  GuardedFormula compiled(formula);
+  Evaluator evaluator(instance, schema, compiled, options);
+  for (const auto& [name, value] : assignment) {
+    evaluator.AddDomainValue(value);
+    for (int slot = 0; slot < compiled.num_free(); ++slot) {
+      if (compiled.slot_name(slot) == name) {
+        evaluator.slots()[static_cast<size_t>(slot)] = &value;
+      }
+    }
+  }
+  return evaluator.Eval(compiled.root());
 }
 
 bool Satisfies(const rel::Instance& instance, const rel::Schema& schema,
@@ -370,54 +289,48 @@ StatusOr<std::vector<std::vector<rel::Value>>> EvaluateQuery(
     }
   }
 
-  EvalContext context = MakeContext(instance, schema, formula, {});
+  GuardedFormula compiled(formula, free_vars);
+  Evaluator evaluator(instance, schema, compiled, {});
+  std::vector<std::vector<rel::Value>> results;
+  if (free_vars.empty()) {
+    StatusOr<bool> v = evaluator.Eval(compiled.root());
+    if (!v.ok()) return v.status();
+    if (v.value()) results.push_back({});
+    return results;
+  }
+
   // Output candidates: adom ∪ consts only (no fresh elements) — the
-  // output-safety convention. Fresh elements stay in context.domain for
-  // the inner quantifiers.
+  // output-safety convention. A guarded head variable takes its guard's
+  // values instead: they occur in facts, so they already lie in adom.
   std::set<rel::Value> candidate_set;
   for (const rel::Value& v : instance.ActiveDomain()) {
     candidate_set.insert(v);
   }
   for (const rel::Value& v : formula.Constants()) candidate_set.insert(v);
-  std::vector<rel::Value> all_candidates(candidate_set.begin(),
-                                         candidate_set.end());
-
-  std::vector<std::vector<rel::Value>> results;
-  if (free_vars.empty()) {
-    Assignment assignment;
-    StatusOr<bool> v = EvalNode(context, formula, &assignment);
-    if (!v.ok()) return v.status();
-    if (v.value()) results.push_back({});
-    return results;
-  }
-  if (all_candidates.empty()) return results;
-
-  // Per-variable candidate lists, narrowed by guard analysis where an
-  // atom pins the variable to values occurring in the instance.
+  if (candidate_set.empty()) return results;
   std::vector<std::vector<rel::Value>> per_var(free_vars.size());
+  std::vector<int> slot_of(free_vars.size());
   for (size_t i = 0; i < free_vars.size(); ++i) {
-    std::optional<std::vector<rel::Value>> guard =
-        GuardCandidates(context, formula, free_vars[i], {});
-    if (guard.has_value()) {
-      // Guards may surface fresh/constant values not in the output
-      // convention set; intersect to stay output-safe.
-      for (const rel::Value& v : *guard) {
-        if (candidate_set.count(v) != 0) per_var[i].push_back(v);
-      }
+    slot_of[i] = compiled.free_slot(free_vars[i]);
+    const int guard = compiled.head_guard(slot_of[i]);
+    if (guard >= 0) {
+      std::vector<ValueRef> candidates;
+      evaluator.guards().Collect(guard, &candidates);
+      for (ValueRef v : candidates) per_var[i].push_back(*v.value);
     } else {
-      per_var[i] = all_candidates;
+      per_var[i].assign(candidate_set.begin(), candidate_set.end());
     }
     if (per_var[i].empty()) return results;
   }
 
   // Enumerate the product of the candidate lists with an odometer.
   std::vector<size_t> odometer(free_vars.size(), 0);
-  Assignment assignment;
+  std::vector<const rel::Value*>& slots = evaluator.slots();
   while (true) {
     for (size_t i = 0; i < free_vars.size(); ++i) {
-      assignment[free_vars[i]] = per_var[i][odometer[i]];
+      slots[static_cast<size_t>(slot_of[i])] = &per_var[i][odometer[i]];
     }
-    StatusOr<bool> v = EvalNode(context, formula, &assignment);
+    StatusOr<bool> v = evaluator.Eval(compiled.root());
     if (!v.ok()) return v.status();
     if (v.value()) {
       std::vector<rel::Value> tuple;

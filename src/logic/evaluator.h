@@ -31,12 +31,21 @@ namespace logic {
 /// '$'. This makes sentences like ∃x ¬R(x) true over finite instances,
 /// exactly as the paper's semantics require.
 ///
+/// Quantifiers are pruned by the guard/co-guard analysis of
+/// logic/guards.h, the same analysis the grounder (pqe/lineage.h) and the
+/// answer enumerator (pqe/expected_answers.h) run: a guarded quantifier
+/// tries only the values that occur at its variable's positions in
+/// matching facts, read from the instance's sorted fact vector (a bound
+/// argument prefix is one binary-searched range).
+///
 /// A variable assignment maps variable names to universe elements.
 using Assignment = std::map<std::string, rel::Value>;
 
-/// Evaluation knobs. `use_guards` toggles the guard/co-guard quantifier
-/// pruning — on by default; off exists for correctness cross-checks and
-/// the ablation benchmark (bench/guard_ablation via fo_eval_bench).
+/// Evaluation knobs. `use_guards = false` is the naive reference
+/// semantics: every quantifier ranges over the whole domain and no guard
+/// code runs. It is the one oracle that shares nothing with the grounder's
+/// guard analysis, kept for the differential tests and the ablation
+/// benchmark (BM_GuardAblation in fo_eval_bench).
 struct EvalOptions {
   bool use_guards = true;
 };
@@ -57,7 +66,7 @@ bool Satisfies(const rel::Instance& instance, const rel::Schema& schema,
 
 /// Computes the quantifier ground set for (instance, formula):
 /// adom(instance) ∪ consts(formula) ∪ fresh elements (quantifier rank
-/// many). Exposed for the view evaluator and for tests.
+/// many), the values an unguarded quantifier tries. Exposed for tests.
 std::vector<rel::Value> QuantifierDomain(const rel::Instance& instance,
                                          const Formula& formula);
 

@@ -119,13 +119,16 @@ inline void SetTracingEnabled(bool on) {
   } while (0)
 
 /// Times the rest of the enclosing scope into the named histogram
-/// (no-op when metrics are runtime-disabled).
-#define IPDB_OBS_SCOPED_TIMER(name)                             \
-  ::ipdb::obs::ScopedTimer IPDB_OBS_INTERNAL_CONCAT(            \
-      ipdb_obs_timer_, __COUNTER__)(                            \
-      ::ipdb::obs::MetricsEnabled()                             \
-          ? &::ipdb::obs::GlobalMetrics().GetHistogram(name)    \
-          : nullptr)
+/// (no-op when metrics are runtime-disabled). The registry lookup
+/// happens once per call site, as for the other macros.
+#define IPDB_OBS_SCOPED_TIMER(name)                                      \
+  ::ipdb::obs::ScopedTimer IPDB_OBS_INTERNAL_CONCAT(                     \
+      ipdb_obs_timer_, __COUNTER__)([]() -> ::ipdb::obs::Histogram* {    \
+    if (!::ipdb::obs::MetricsEnabled()) return nullptr;                  \
+    static ::ipdb::obs::Histogram& ipdb_obs_histogram =                  \
+        ::ipdb::obs::GlobalMetrics().GetHistogram(name);                 \
+    return &ipdb_obs_histogram;                                          \
+  }())
 
 #else  // IPDB_OBSERVABILITY_DISABLED
 

@@ -1,8 +1,11 @@
 #include "pqe/expected_answers.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
+#include "logic/guards.h"
+#include "pqe/lineage.h"
 #include "pqe/wmc.h"
 #include "util/parallel.h"
 
@@ -26,13 +29,6 @@ StatusOr<std::vector<RankedAnswer>> EnumerateAnswers(
                                   " not covered by the head");
     }
   }
-  // Candidate values: adom of the fact set plus query constants.
-  std::vector<rel::Value> candidates = ti.store()->SortedDomain();
-  for (const rel::Value& v : query.Constants()) candidates.push_back(v);
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
-
   std::vector<RankedAnswer> answers;
   if (head_vars.empty()) {
     StatusOr<double> p = QueryProbability(ti, query);
@@ -40,7 +36,35 @@ StatusOr<std::vector<RankedAnswer>> EnumerateAnswers(
     if (p.value() > 0.0) answers.push_back({{}, p.value()});
     return answers;
   }
-  if (candidates.empty()) return answers;
+
+  // Candidate values per head position: a guarded variable takes the
+  // values its guard reads from the store's facts; any other tuple has
+  // probability exactly 0. An unguarded one, or one named twice in the
+  // head (only its first position is substituted), takes the
+  // output-safety set: adom of the fact set plus query constants.
+  const logic::GuardedFormula compiled(query, head_vars);
+  std::vector<rel::Value> all;
+  std::vector<std::vector<rel::Value>> per_var(head_vars.size());
+  for (size_t i = 0; i < head_vars.size(); ++i) {
+    std::optional<std::vector<rel::Value>> guarded;
+    if (std::count(head_vars.begin(), head_vars.end(), head_vars[i]) == 1) {
+      guarded = GuardCandidates(*ti.store(), compiled,
+                                compiled.free_slot(head_vars[i]));
+    }
+    if (guarded.has_value()) {
+      per_var[i] = std::move(guarded).value();
+    } else {
+      if (all.empty()) {
+        all = ti.store()->SortedDomain();
+        all.insert(all.end(), compiled.constants().begin(),
+                   compiled.constants().end());
+        std::sort(all.begin(), all.end());
+        all.erase(std::unique(all.begin(), all.end()), all.end());
+      }
+      per_var[i] = all;
+    }
+    if (per_var[i].empty()) return answers;
+  }
 
   // Materialize the candidate grid first, then evaluate each grounded
   // query by exact WMC — independent work items, fanned out across
@@ -52,12 +76,12 @@ StatusOr<std::vector<RankedAnswer>> EnumerateAnswers(
     std::vector<rel::Value> tuple;
     tuple.reserve(head_vars.size());
     for (size_t i = 0; i < head_vars.size(); ++i) {
-      tuple.push_back(candidates[odometer[i]]);
+      tuple.push_back(per_var[i][odometer[i]]);
     }
     tuples.push_back(std::move(tuple));
     size_t pos = 0;
     while (pos < odometer.size()) {
-      if (++odometer[pos] < candidates.size()) break;
+      if (++odometer[pos] < per_var[pos].size()) break;
       odometer[pos] = 0;
       ++pos;
     }

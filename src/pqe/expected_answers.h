@@ -22,7 +22,10 @@ namespace pqe {
 ///
 /// with ā ranging over (adom(T(I)) ∪ consts(q))^k (the output-safety
 /// candidate set) and each summand evaluated by exact WMC. `head_vars`
-/// orders the free variables, as in logic::EvaluateQuery.
+/// orders the free variables, as in logic::EvaluateQuery. A head
+/// variable covered by a guard (logic/guards.h) takes only the values its
+/// guard reads from the store's facts: every other tuple has probability
+/// exactly 0, so the answers are those of the full grid.
 ///
 /// The per-tuple WMC calls are independent, so both entry points accept
 /// an optional options knob whose `threads` field fans the candidate

@@ -4,8 +4,6 @@
 #include <limits>
 #include <set>
 
-#include "logic/evaluator.h"
-#include "relational/fact.h"
 #include "util/check.h"
 
 namespace ipdb {
@@ -230,144 +228,219 @@ std::string Lineage::ToString(NodeId id) const {
 
 namespace {
 
-using logic::Formula;
 using logic::FormulaKind;
-using logic::Term;
+using logic::GuardedFormula;
 
-struct GroundContext {
-  Lineage* lineage;
-  /// Atoms resolve by dictionary probe + one binary search in the
-  /// relation's sorted run.
+/// The store as the guard analysis reads it: values are dictionary ids,
+/// a bound argument prefix is a PrefixRange of the relation's sorted
+/// run, and anything else one scan of the relation.
+struct StoreFacts {
+  using Value = uint32_t;
+
   const storage::TiStore* store;
-  std::vector<rel::Value> domain;
+  const std::vector<uint32_t>* constant_ids;
+  const std::vector<uint32_t>* slots;
+
+  Value Constant(int index) const {
+    return (*constant_ids)[static_cast<size_t>(index)];
+  }
+  bool Slot(int slot, Value* value) const {
+    *value = (*slots)[static_cast<size_t>(slot)];
+    return true;
+  }
+  int64_t CountRows(rel::RelationId relation, const Value* key,
+                    int key_len) const {
+    const storage::ColumnTable& table = store->table(relation);
+    if (key_len == 0) return table.num_rows();
+    const auto [begin, end] = table.PrefixRange(key, key_len);
+    return end - begin;
+  }
+  template <typename Fn>
+  void ForEachRow(rel::RelationId relation, int /*arity*/, const Value* key,
+                  int key_len, Fn fn) const {
+    const storage::ColumnTable& table = store->table(relation);
+    const auto visit = [&table, &fn](int64_t row) {
+      fn([&table, row](int i) { return table.id(i, row); });
+    };
+    if (key_len == 0) {
+      for (int64_t row = 0; row < table.num_rows(); ++row) visit(row);
+      return;
+    }
+    const auto [begin, end] = table.PrefixRange(key, key_len);
+    for (int64_t k = begin; k < end; ++k) visit(table.sorted_row(k));
+  }
 };
 
-StatusOr<rel::Value> ResolveTerm(const Term& term,
-                                 const logic::Assignment& assignment) {
-  if (term.is_const()) return term.value();
-  auto it = assignment.find(term.var());
-  if (it == assignment.end()) {
-    return InvalidArgumentError("unbound variable in grounding: " +
-                                term.var());
+/// The dictionary id of each of `formula`'s constants; a constant absent
+/// from the dictionary gets the next id from dictionary().size() up.
+std::vector<uint32_t> ConstantIds(const storage::TiStore& store,
+                                  const GuardedFormula& formula) {
+  std::vector<uint32_t> ids;
+  uint32_t next = static_cast<uint32_t>(store.dictionary().size());
+  for (const rel::Value& value : formula.constants()) {
+    const uint32_t id = store.dictionary().Find(value);
+    ids.push_back(id == storage::Dictionary::kNotFound ? next++ : id);
   }
-  return it->second;
+  return ids;
 }
 
-StatusOr<NodeId> Ground(GroundContext& context, const Formula& formula,
-                        logic::Assignment* assignment) {
-  Lineage& lineage = *context.lineage;
-  switch (formula.kind()) {
-    case FormulaKind::kTrue:
-      return lineage.True();
-    case FormulaKind::kFalse:
-      return lineage.False();
-    case FormulaKind::kAtom: {
-      std::vector<rel::Value> args;
-      for (const Term& t : formula.terms()) {
-        StatusOr<rel::Value> v = ResolveTerm(t, *assignment);
-        if (!v.ok()) return v.status();
-        args.push_back(std::move(v).value());
-      }
-      rel::Fact fact(formula.relation(), std::move(args));
-      // Closed-world over the fact set: facts outside T(I) never occur.
-      const int64_t i = context.store->FindFact(fact);
-      if (i < 0) return lineage.False();
-      return lineage.Var(static_cast<int>(i));
-    }
-    case FormulaKind::kEquals: {
-      StatusOr<rel::Value> lhs = ResolveTerm(formula.terms()[0], *assignment);
-      if (!lhs.ok()) return lhs.status();
-      StatusOr<rel::Value> rhs = ResolveTerm(formula.terms()[1], *assignment);
-      if (!rhs.ok()) return rhs.status();
-      return lhs.value() == rhs.value() ? lineage.True() : lineage.False();
-    }
-    case FormulaKind::kNot: {
-      StatusOr<NodeId> inner =
-          Ground(context, formula.children()[0], assignment);
-      if (!inner.ok()) return inner.status();
-      return lineage.MakeNot(inner.value());
-    }
-    case FormulaKind::kAnd:
-    case FormulaKind::kOr: {
-      std::vector<NodeId> children;
-      for (const Formula& child : formula.children()) {
-        StatusOr<NodeId> c = Ground(context, child, assignment);
-        if (!c.ok()) return c.status();
-        children.push_back(c.value());
-        // Short-circuit on constants.
-        if (formula.kind() == FormulaKind::kAnd &&
-            c.value() == Lineage::kFalseId) {
-          return lineage.False();
-        }
-        if (formula.kind() == FormulaKind::kOr &&
-            c.value() == Lineage::kTrueId) {
-          return lineage.True();
-        }
-      }
-      return formula.kind() == FormulaKind::kAnd
-                 ? lineage.MakeAnd(std::move(children))
-                 : lineage.MakeOr(std::move(children));
-    }
-    case FormulaKind::kImplies: {
-      StatusOr<NodeId> premise =
-          Ground(context, formula.children()[0], assignment);
-      if (!premise.ok()) return premise.status();
-      StatusOr<NodeId> conclusion =
-          Ground(context, formula.children()[1], assignment);
-      if (!conclusion.ok()) return conclusion.status();
-      return lineage.MakeOr({lineage.MakeNot(premise.value()),
-                             conclusion.value()});
-    }
-    case FormulaKind::kIff: {
-      StatusOr<NodeId> lhs =
-          Ground(context, formula.children()[0], assignment);
-      if (!lhs.ok()) return lhs.status();
-      StatusOr<NodeId> rhs =
-          Ground(context, formula.children()[1], assignment);
-      if (!rhs.ok()) return rhs.status();
-      NodeId both = lineage.MakeAnd({lhs.value(), rhs.value()});
-      NodeId neither = lineage.MakeAnd({lineage.MakeNot(lhs.value()),
-                                        lineage.MakeNot(rhs.value())});
-      return lineage.MakeOr({both, neither});
-    }
-    case FormulaKind::kExists:
-    case FormulaKind::kForall: {
-      const bool is_exists = formula.kind() == FormulaKind::kExists;
-      const std::string& var = formula.quantified_var();
-      auto outer = assignment->find(var);
-      bool had_outer = outer != assignment->end();
-      rel::Value saved = had_outer ? outer->second : rel::Value();
-      std::vector<NodeId> children;
-      for (const rel::Value& candidate : context.domain) {
-        (*assignment)[var] = candidate;
-        StatusOr<NodeId> c =
-            Ground(context, formula.children()[0], assignment);
-        if (!c.ok()) return c.status();
-        children.push_back(c.value());
-      }
-      if (had_outer) {
-        (*assignment)[var] = saved;
-      } else {
-        assignment->erase(var);
-      }
-      return is_exists ? lineage.MakeOr(std::move(children))
-                       : lineage.MakeAnd(std::move(children));
-    }
-  }
-  return InternalError("unhandled formula kind in grounding");
+/// adom ∪ consts ∪ fresh is [0, DomainSize): the dictionary, the absent
+/// constants, then one fresh witness per quantifier level.
+uint32_t DomainSize(const storage::TiStore& store,
+                    const GuardedFormula& formula,
+                    const std::vector<uint32_t>& constant_ids) {
+  uint32_t size = static_cast<uint32_t>(store.dictionary().size());
+  for (uint32_t id : constant_ids) size = std::max(size, id + 1);
+  return size + static_cast<uint32_t>(formula.quantifier_rank());
 }
+
+/// One grounding. The assignment is one dictionary id per slot.
+/// Constants absent from the dictionary and the fresh witnesses take ids
+/// from dictionary().size() up, so equality is an id compare and an atom
+/// holding such an id is false without a probe; the whole quantifier
+/// domain adom ∪ consts ∪ fresh is the id range [0, domain_size).
+class Grounder {
+ public:
+  Grounder(const storage::TiStore& store, const GuardedFormula& formula,
+           Lineage* lineage, const ExecutionBudget* budget)
+      : store_(store),
+        formula_(formula),
+        lineage_(*lineage),
+        dictionary_size_(static_cast<uint32_t>(store.dictionary().size())),
+        constant_ids_(ConstantIds(store, formula)),
+        domain_size_(DomainSize(store, formula, constant_ids_)),
+        slots_(static_cast<size_t>(formula.num_slots()), 0),
+        facts_{&store, &constant_ids_, &slots_},
+        guards_(formula, facts_),
+        meter_(budget, 0, "pqe.ground") {}
+
+  StatusOr<NodeId> Ground(int id) {
+    const GuardedFormula::Node& node = formula_.node(id);
+    switch (node.kind) {
+      case FormulaKind::kTrue:
+        return lineage_.True();
+      case FormulaKind::kFalse:
+        return lineage_.False();
+      case FormulaKind::kAtom: {
+        // Closed-world over the fact set: facts outside T(I) never occur.
+        ids_.clear();
+        for (const GuardedFormula::Term& term : node.terms) {
+          const uint32_t v = Resolve(term);
+          if (v >= dictionary_size_) return lineage_.False();
+          ids_.push_back(v);
+        }
+        const int64_t row = store_.table(node.relation).FindRow(ids_.data());
+        if (row < 0) return lineage_.False();
+        return lineage_.Var(
+            static_cast<int>(store_.global_index(node.relation, row)));
+      }
+      case FormulaKind::kEquals:
+        return Resolve(node.terms[0]) == Resolve(node.terms[1])
+                   ? lineage_.True()
+                   : lineage_.False();
+      case FormulaKind::kNot: {
+        StatusOr<NodeId> inner = Ground(node.children[0]);
+        if (!inner.ok()) return inner.status();
+        return lineage_.MakeNot(inner.value());
+      }
+      case FormulaKind::kAnd:
+      case FormulaKind::kOr: {
+        // The first child equal to `stop` decides the connective.
+        const NodeId stop = node.kind == FormulaKind::kAnd
+                                ? Lineage::kFalseId
+                                : Lineage::kTrueId;
+        std::vector<NodeId> children;
+        for (int child : node.children) {
+          StatusOr<NodeId> c = Ground(child);
+          if (!c.ok()) return c.status();
+          if (c.value() == stop) return stop;
+          children.push_back(c.value());
+        }
+        return node.kind == FormulaKind::kAnd
+                   ? lineage_.MakeAnd(std::move(children))
+                   : lineage_.MakeOr(std::move(children));
+      }
+      case FormulaKind::kImplies: {
+        StatusOr<NodeId> premise = Ground(node.children[0]);
+        if (!premise.ok()) return premise.status();
+        StatusOr<NodeId> conclusion = Ground(node.children[1]);
+        if (!conclusion.ok()) return conclusion.status();
+        return lineage_.MakeOr(
+            {lineage_.MakeNot(premise.value()), conclusion.value()});
+      }
+      case FormulaKind::kIff: {
+        StatusOr<NodeId> lhs = Ground(node.children[0]);
+        if (!lhs.ok()) return lhs.status();
+        StatusOr<NodeId> rhs = Ground(node.children[1]);
+        if (!rhs.ok()) return rhs.status();
+        NodeId both = lineage_.MakeAnd({lhs.value(), rhs.value()});
+        NodeId neither = lineage_.MakeAnd({lineage_.MakeNot(lhs.value()),
+                                           lineage_.MakeNot(rhs.value())});
+        return lineage_.MakeOr({both, neither});
+      }
+      case FormulaKind::kExists:
+      case FormulaKind::kForall: {
+        // ∃ is the disjunction of its body over the values tried, ∀ the
+        // conjunction. A guarded quantifier tries only its candidates:
+        // any other value grounds the body to False (∃) or True (∀),
+        // which MakeOr / MakeAnd would drop. The rest try the domain.
+        const bool is_exists = node.kind == FormulaKind::kExists;
+        const NodeId stop = is_exists ? Lineage::kTrueId : Lineage::kFalseId;
+        const bool guarded = node.guard >= 0;
+        std::vector<uint32_t> candidates;
+        if (guarded) guards_.Collect(node.guard, &candidates);
+        const size_t count = guarded ? candidates.size() : domain_size_;
+        std::vector<NodeId> children;
+        for (size_t k = 0; k < count; ++k) {
+          const uint32_t candidate =
+              guarded ? candidates[k] : static_cast<uint32_t>(k);
+          Status charged = meter_.Charge();
+          if (!charged.ok()) return charged;
+          slots_[static_cast<size_t>(node.slot)] = candidate;
+          StatusOr<NodeId> c = Ground(node.children[0]);
+          if (!c.ok()) return c.status();
+          if (c.value() == stop) return stop;
+          children.push_back(c.value());
+        }
+        return is_exists ? lineage_.MakeOr(std::move(children))
+                         : lineage_.MakeAnd(std::move(children));
+      }
+    }
+    return InternalError("unhandled formula kind in grounding");
+  }
+
+ private:
+  uint32_t Resolve(const GuardedFormula::Term& term) const {
+    return term.is_slot ? slots_[static_cast<size_t>(term.index)]
+                        : constant_ids_[static_cast<size_t>(term.index)];
+  }
+
+  const storage::TiStore& store_;
+  const GuardedFormula& formula_;
+  Lineage& lineage_;
+  const uint32_t dictionary_size_;
+  const std::vector<uint32_t> constant_ids_;
+  const uint32_t domain_size_;
+  std::vector<uint32_t> slots_;
+  StoreFacts facts_;
+  logic::GuardReader<StoreFacts> guards_;
+  BudgetMeter meter_;
+  std::vector<uint32_t> ids_;  // atom probe key
+};
 
 }  // namespace
 
 StatusOr<NodeId> GroundSentence(const pdb::TiPdb<double>& ti,
                                 const logic::Formula& sentence,
-                                Lineage* lineage) {
-  return GroundSentence(*ti.store(), sentence, lineage);
+                                Lineage* lineage,
+                                const ExecutionBudget* budget) {
+  return GroundSentence(*ti.store(), sentence, lineage, budget);
 }
 
 StatusOr<NodeId> GroundSentence(const storage::TiStore& store,
                                 const logic::Formula& sentence,
-                                Lineage* lineage) {
+                                Lineage* lineage,
+                                const ExecutionBudget* budget) {
   if (!sentence.FreeVariables().empty()) {
     return InvalidArgumentError("grounding requires a sentence");
   }
@@ -379,20 +452,35 @@ StatusOr<NodeId> GroundSentence(const storage::TiStore& store,
         "lineage variables are 32-bit: the store has too many facts to "
         "ground");
   }
-  GroundContext context{lineage, &store, store.SortedDomain()};
-  std::vector<rel::Value>& domain = context.domain;
-  // Constants and fresh witnesses join the active domain; sort + unique
-  // makes it one ordered set whatever a value's origin, so node ids and
-  // fingerprints depend only on the facts and the sentence.
-  for (const rel::Value& v : sentence.Constants()) domain.push_back(v);
-  const int rank = sentence.QuantifierRank();
-  for (int i = 0; i < rank; ++i) {
-    domain.push_back(rel::Value::Symbol("$fresh" + std::to_string(i)));
+  const GuardedFormula formula(sentence);
+  if (store.dictionary().size() + static_cast<int64_t>(
+                                      formula.constants().size()) +
+          formula.quantifier_rank() >=
+      static_cast<int64_t>(storage::Dictionary::kNotFound)) {
+    return InvalidArgumentError(
+        "quantifier domain ids are 32-bit: the dictionary is too large to "
+        "ground over");
   }
-  std::sort(domain.begin(), domain.end());
-  domain.erase(std::unique(domain.begin(), domain.end()), domain.end());
-  logic::Assignment assignment;
-  return Ground(context, sentence, &assignment);
+  Grounder grounder(store, formula, lineage, budget);
+  return grounder.Ground(formula.root());
+}
+
+std::optional<std::vector<rel::Value>> GuardCandidates(
+    const storage::TiStore& store, const logic::GuardedFormula& formula,
+    int slot) {
+  const int plan = formula.head_guard(slot);
+  if (plan < 0) return std::nullopt;
+  // A head guard binds no slot: its positions are constants or wildcards.
+  const std::vector<uint32_t> constant_ids = ConstantIds(store, formula);
+  const std::vector<uint32_t> slots(static_cast<size_t>(formula.num_slots()));
+  const StoreFacts facts{&store, &constant_ids, &slots};
+  std::vector<uint32_t> ids;
+  logic::GuardReader<StoreFacts>(formula, facts).Collect(plan, &ids);
+  std::vector<rel::Value> values;
+  values.reserve(ids.size());
+  for (uint32_t id : ids) values.push_back(store.dictionary().ValueAt(id));
+  std::sort(values.begin(), values.end());
+  return values;
 }
 
 }  // namespace pqe

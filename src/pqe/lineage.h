@@ -2,15 +2,18 @@
 #define IPDB_PQE_LINEAGE_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "logic/formula.h"
+#include "logic/guards.h"
 #include "pdb/ti_pdb.h"
 #include "relational/instance.h"
 #include "relational/schema.h"
 #include "storage/ti_store.h"
+#include "util/budget.h"
 #include "util/status.h"
 
 namespace ipdb {
@@ -90,16 +93,36 @@ class Lineage {
 /// to the store overload below.
 StatusOr<NodeId> GroundSentence(const pdb::TiPdb<double>& ti,
                                 const logic::Formula& sentence,
-                                Lineage* lineage);
+                                Lineage* lineage,
+                                const ExecutionBudget* budget = nullptr);
 
-/// The grounder: atom lookups are dictionary probes plus one binary
-/// search in the relation's sorted run (TiStore::FindFact). Quantifiers
-/// range over one sorted domain, so the produced lineage (node ids,
-/// hence fingerprints) depends only on the store's facts and the
-/// sentence.
+/// The grounder. The assignment is one dictionary id per variable slot
+/// (logic/guards.h), and an atom is one binary search in its relation's
+/// sorted run. A quantifier binds its variable from the store's rows
+/// that can satisfy its body: ∃ tries its guard's candidates, ∀ its
+/// co-guard's, read through PrefixRange when the bound positions form a
+/// prefix and by one scan of the relation otherwise. Only variables that
+/// no guard covers range over adom ∪ consts ∪ fresh, an id range that is
+/// never materialized. A skipped value grounds the body to False (∃) or
+/// True (∀), so the lineage's fingerprint equals that of the full-domain
+/// expansion; node ids depend on the store's facts and the sentence.
+///
+/// `budget`, when set, is charged one unit per value a quantifier tries;
+/// a tripped deadline or cancel token returns kDeadlineExceeded or
+/// kCancelled within one BudgetMeter poll stride.
 StatusOr<NodeId> GroundSentence(const storage::TiStore& store,
                                 const logic::Formula& sentence,
-                                Lineage* lineage);
+                                Lineage* lineage,
+                                const ExecutionBudget* budget = nullptr);
+
+/// The candidates of free slot `slot` of `formula` over the store's
+/// facts, with no other variable bound: the values of that answer
+/// position for which the formula can hold in some world, sorted. They
+/// occur in facts, so they lie in the active domain. Nullopt when no
+/// guard covers the slot.
+std::optional<std::vector<rel::Value>> GuardCandidates(
+    const storage::TiStore& store, const logic::GuardedFormula& formula,
+    int slot);
 
 }  // namespace pqe
 }  // namespace ipdb

@@ -51,7 +51,8 @@ StatusOr<PreparedQuery> PreparedQuery::Prepare(
 Status PreparedQuery::Rebuild() {
   IPDB_OBS_SPAN("pqe.prepared.rebuild", "pqe");
   lineage_ = std::make_unique<Lineage>();
-  StatusOr<NodeId> root = GroundSentence(*store_, sentence_, lineage_.get());
+  StatusOr<NodeId> root =
+      GroundSentence(*store_, sentence_, lineage_.get(), options_.budget);
   if (!root.ok()) return root.status();
 
   kc::CompileOptions compile_options;

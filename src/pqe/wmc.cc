@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <iterator>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -169,26 +170,31 @@ StatusOr<QueryAnswer> QueryProbability(const pdb::TiPdb<double>& ti,
     }
   }
 
-  Lineage lineage;
-  NodeId root = -1;
-  std::vector<double> probs;
-  if (!skip_exact) {
-    IPDB_OBS_SPAN("pqe.ground", "pqe");
-    IPDB_FAULT_POINT("pqe.ground");
-    const storage::TiStore& store = *ti.store();
-    StatusOr<NodeId> grounded = GroundSentence(store, sentence, &lineage);
-    if (!grounded.ok()) return grounded.status();
-    root = grounded.value();
-    const int64_t n = store.num_facts();
-    probs.reserve(static_cast<size_t>(n));
-    for (int64_t i = 0; i < n; ++i) probs.push_back(store.ProbAt(i));
-  }
-
-  // Exact rung: compile (budget-governed) through the artifact cache,
-  // then evaluate (deadline polled per circuit node). Budget errors fall
-  // through to the degraded rung; everything else propagates.
+  // Exact rung: ground and compile (budget-governed) through the
+  // artifact cache, then evaluate (deadline polled per circuit node).
+  // Budget errors fall through to the degraded rung; everything else
+  // propagates.
   do {
     if (skip_exact) break;
+    std::optional<Lineage> lineage(std::in_place);
+    NodeId root = -1;
+    std::vector<double> probs;
+    {
+      IPDB_OBS_SPAN("pqe.ground", "pqe");
+      IPDB_FAULT_POINT("pqe.ground");
+      const storage::TiStore& store = *ti.store();
+      StatusOr<NodeId> grounded =
+          GroundSentence(store, sentence, &*lineage, budget);
+      if (!grounded.ok()) {
+        if (!IsBudgetError(grounded.status())) return grounded.status();
+        exact_error = grounded.status();
+        break;
+      }
+      root = grounded.value();
+      const int64_t n = store.num_facts();
+      probs.reserve(static_cast<size_t>(n));
+      for (int64_t i = 0; i < n; ++i) probs.push_back(store.ProbAt(i));
+    }
     if (budget != nullptr) {
       exact_error = budget->CheckTime("pqe.query");
       if (!exact_error.ok()) break;
@@ -204,7 +210,10 @@ StatusOr<QueryAnswer> QueryProbability(const pdb::TiPdb<double>& ti,
       compile_options.budget = budget;
       StatusOr<std::shared_ptr<const kc::CompiledQuery>> compiled =
           kc::GlobalCompiledQueryCache().GetOrCompile(
-              &lineage, root, &was_hit, compile_options);
+              &*lineage, root, &was_hit, compile_options);
+      // The artifact is all the rest of the query needs: free the
+      // lineage inside this phase, so the phases account for the time.
+      lineage.reset();
       if (!compiled.ok()) {
         if (!IsBudgetError(compiled.status())) return compiled.status();
         exact_error = compiled.status();

@@ -89,9 +89,11 @@ struct QueryAnswer {
 
 /// Governance knobs for the QueryOptions overload below.
 struct QueryOptions {
-  /// Resource limits for the whole query (grounding + compilation +
-  /// evaluation + fallback). Null = unlimited, in which case the
-  /// overload behaves exactly like plain QueryProbability.
+  /// Resource limits for the whole query: grounding (charged per value
+  /// a quantifier tries), compilation, evaluation and fallback. A budget
+  /// trip while grounding or compiling degrades to the fallback rung.
+  /// Null = unlimited, in which case the overload behaves exactly like
+  /// plain QueryProbability.
   const ExecutionBudget* budget = nullptr;
   /// Try the lifted safe-plan engine first (safe_plan.h): hierarchical
   /// self-join-free CQs are answered exactly without grounding or

@@ -112,7 +112,8 @@ class TiStore {
   double Marginal(const rel::Fact& fact) const;
 
   /// Every distinct argument value in the store, in rel::Value order —
-  /// the active domain, precomputed for grounding.
+  /// the active domain (the grounder iterates the same set as dictionary
+  /// ids and never materializes it).
   std::vector<rel::Value> SortedDomain() const;
 
   // --- Live mutators (single-writer) -------------------------------

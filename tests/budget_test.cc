@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <utility>
 #include <vector>
 
 #include "kc/cache.h"
@@ -14,6 +15,7 @@
 #include "obs/obs.h"
 #include "pqe/lineage.h"
 #include "pqe/monte_carlo.h"
+#include "pqe/prepared.h"
 #include "pqe/wmc.h"
 #include "util/random.h"
 
@@ -518,6 +520,70 @@ TEST(QueryDegradationTest, CancellationDegradesMidLadder) {
   ASSERT_TRUE(answer.ok());
   EXPECT_EQ(answer.value().quality, pqe::AnswerQuality::kFailed);
   EXPECT_EQ(answer.value().exact_error.code(), StatusCode::kCancelled);
+}
+
+/// 300 facts R(0..299) and a sentence no guard covers (every variable
+/// sits under a negation): its grounding tries (300 + 3)^3 assignments.
+pdb::TiPdb<double> WideUnaryTi() {
+  pdb::TiPdb<double>::FactList facts;
+  for (int64_t i = 0; i < 300; ++i) {
+    facts.emplace_back(rel::Fact(0, {rel::Value::Int(i)}), 0.5);
+  }
+  return pdb::TiPdb<double>::CreateOrDie(rel::Schema({{"R", 1}}),
+                                         std::move(facts));
+}
+constexpr const char* kUnguardedSentence =
+    "exists x y z. !R(x) & !R(y) & !R(z) & x != y";
+
+TEST(GroundBudgetTest, CancelAndDeadlineStopUnguardedGrounding) {
+  pdb::TiPdb<double> ti = WideUnaryTi();
+  logic::Formula sentence =
+      logic::ParseSentence(kUnguardedSentence, ti.schema()).value();
+  CancelToken token;
+  token.Cancel();
+  ExecutionBudget cancelled;
+  cancelled.cancel = &token;
+  ExecutionBudget expired = ExpiredBudget();
+  const std::pair<const ExecutionBudget*, StatusCode> cases[] = {
+      {&cancelled, StatusCode::kCancelled},
+      {&expired, StatusCode::kDeadlineExceeded}};
+  for (const auto& [budget, code] : cases) {
+    pqe::Lineage lineage;
+    StatusOr<pqe::NodeId> root =
+        pqe::GroundSentence(ti, sentence, &lineage, budget);
+    ASSERT_FALSE(root.ok());
+    EXPECT_EQ(root.status().code(), code);
+    // The meter polls on its first charge and then once per stride of
+    // 256 tried values, so the grounder stopped before building more.
+    EXPECT_LE(lineage.size(), 256);
+
+    pqe::PreparedOptions prepared_options;
+    prepared_options.budget = budget;
+    StatusOr<pqe::PreparedQuery> prepared = pqe::PreparedQuery::Prepare(
+        ti.store(), sentence, prepared_options);
+    ASSERT_FALSE(prepared.ok());
+    EXPECT_EQ(prepared.status().code(), code);
+  }
+}
+
+TEST(GroundBudgetTest, QueryDeadlineCoversGrounding) {
+  pdb::TiPdb<double> ti = WideUnaryTi();
+  logic::Formula sentence =
+      logic::ParseSentence(kUnguardedSentence, ti.schema()).value();
+  ExecutionBudget budget = ExpiredBudget();
+  pqe::QueryOptions options;
+  options.budget = &budget;
+  const auto start = std::chrono::steady_clock::now();
+  StatusOr<pqe::QueryAnswer> answer =
+      pqe::QueryProbability(ti, sentence, options);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(answer.ok());
+  EXPECT_EQ(answer.value().exact_error.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(answer.value().quality, pqe::AnswerQuality::kFailed);
+  // The deadline trips on the grounder's first tried value. A grounding
+  // that ignored it would enumerate all 303^3 assignments first, tens of
+  // seconds even optimized; the bound is loose enough for sanitizers.
+  EXPECT_LT(elapsed, std::chrono::seconds(10));
 }
 
 }  // namespace

@@ -2,10 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "kc/cache.h"
 #include "logic/parser.h"
 #include "logic/view.h"
 #include "pdb/pushforward.h"
 #include "pqe/wmc.h"
+#include "test_util.h"
+#include "util/random.h"
 
 namespace ipdb {
 namespace pqe {
@@ -89,6 +96,101 @@ TEST(ExpectedAnswersTest, UncoveredFreeVariableFails) {
   pdb::TiPdb<double> ti = TestTi();
   logic::Formula q = logic::ParseFormula("R(x, y)", ti.schema()).value();
   EXPECT_FALSE(ExpectedAnswerCount(ti, q, {"x"}).ok());
+}
+
+/// The answer list as enumerated before head candidates came from the
+/// guard analysis: one QueryProbability per tuple of the full
+/// (adom ∪ consts)^k grid, in grid order, keeping positive ones.
+std::vector<RankedAnswer> FullGridAnswers(const pdb::TiPdb<double>& ti,
+                                          const logic::Formula& query,
+                                          const std::vector<std::string>& head) {
+  std::vector<rel::Value> candidates = ti.store()->SortedDomain();
+  for (const rel::Value& v : query.Constants()) candidates.push_back(v);
+  std::sort(candidates.begin(), candidates.end());
+  candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                   candidates.end());
+  std::vector<RankedAnswer> answers;
+  std::vector<size_t> odometer(head.size(), 0);
+  while (true) {
+    std::vector<rel::Value> tuple;
+    logic::Formula grounded = query;
+    for (size_t i = 0; i < head.size(); ++i) {
+      tuple.push_back(candidates[odometer[i]]);
+      grounded = grounded.Substitute(head[i], logic::Term::Const(tuple[i]));
+    }
+    const double p = QueryProbability(ti, grounded).value();
+    if (p > 0.0) answers.push_back({std::move(tuple), p});
+    size_t pos = 0;
+    while (pos < odometer.size()) {
+      if (++odometer[pos] < candidates.size()) break;
+      odometer[pos] = 0;
+      ++pos;
+    }
+    if (pos == odometer.size()) break;
+  }
+  std::sort(answers.begin(), answers.end(),
+            [](const RankedAnswer& a, const RankedAnswer& b) {
+              if (a.probability != b.probability) {
+                return a.probability > b.probability;
+              }
+              return a.tuple < b.tuple;
+            });
+  return answers;
+}
+
+TEST(ExpectedAnswersTest, GuardedHeadCandidatesMatchTheFullGrid) {
+  // Head tuples outside the guard analysis have probability exactly 0,
+  // so pruning them leaves the ranked list, and its sum, bit for bit.
+  rel::Schema schema({{"R", 1}, {"S", 2}, {"T", 1}, {"U", 2}});
+  Pcg32 rng(0xa115);
+  for (int round = 0; round < 300; ++round) {
+    const std::vector<std::string> head =
+        rng.NextBounded(2) == 0 ? std::vector<std::string>{"x"}
+                                : std::vector<std::string>{"x", "y"};
+    logic::Formula query =
+        testing_util::RandomFormula(schema, 3, head, 4, 2, &rng);
+    if (rng.NextBounded(3) != 0) {
+      // A conjoined atom over the head usually guards it.
+      const rel::RelationId r = static_cast<rel::RelationId>(
+          rng.NextBounded(static_cast<uint32_t>(schema.num_relations())));
+      std::vector<logic::Term> terms;
+      for (int p = 0; p < schema.arity(r); ++p) {
+        terms.push_back(logic::Term::Var(
+            head[rng.NextBounded(static_cast<uint32_t>(head.size()))]));
+      }
+      query = logic::And(logic::Atom(r, std::move(terms)), query);
+    }
+    pdb::TiPdb<math::Rational> exact = testing_util::RandomRationalTi(
+        schema, 1 + static_cast<int>(rng.NextBounded(8)), 3, 10, &rng);
+    pdb::TiPdb<double>::FactList facts;
+    for (const auto& [fact, marginal] : exact.facts()) {
+      facts.emplace_back(fact, marginal.ToDouble());
+    }
+    pdb::TiPdb<double> ti =
+        pdb::TiPdb<double>::CreateOrDie(schema, std::move(facts));
+
+    // A cold artifact cache for each side: both then compile the same
+    // lineages in the same order and evaluate the same circuits.
+    kc::GlobalCompiledQueryCache().Clear();
+    StatusOr<std::vector<RankedAnswer>> ranked =
+        RankedAnswers(ti, query, head);
+    ASSERT_TRUE(ranked.ok()) << query.ToString(schema);
+    kc::GlobalCompiledQueryCache().Clear();
+    const std::vector<RankedAnswer> expected =
+        FullGridAnswers(ti, query, head);
+    ASSERT_EQ(ranked.value().size(), expected.size())
+        << query.ToString(schema);
+    double sum = 0.0;
+    for (size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(ranked.value()[i].tuple, expected[i].tuple);
+      EXPECT_EQ(ranked.value()[i].probability, expected[i].probability)
+          << query.ToString(schema);
+      sum += expected[i].probability;
+    }
+    StatusOr<double> count = ExpectedAnswerCount(ti, query, head);
+    ASSERT_TRUE(count.ok());
+    EXPECT_EQ(count.value(), sum) << query.ToString(schema);
+  }
 }
 
 }  // namespace

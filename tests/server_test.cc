@@ -401,12 +401,12 @@ TEST(EngineTest, CappedFallbacksDoNotLatchDegradedAdmission) {
     EXPECT_EQ(free.value().answer.quality, pqe::AnswerQuality::kExact);
   }
   EXPECT_EQ(engine.Usage("free").value().degraded, 0);
-  // Leave the cache cold again: the tests below need a capped
-  // kUnsafeQuery to miss it and sample for a while.
-  kc::GlobalCompiledQueryCache().Clear();
 }
 
 TEST(EngineTest, OverloadShedsWithUnavailable) {
+  // A capped kUnsafeQuery must miss the process-wide artifact cache
+  // (a hit is served past max_circuit_nodes), whatever ran before.
+  kc::GlobalCompiledQueryCache().Clear();
   // One worker, a shallow queue, and deliberately slow queries (the
   // compile rung is capped, so each query Monte Carlos a while): the
   // submission loop outruns the worker and the ladder must shed.
@@ -449,6 +449,9 @@ TEST(EngineTest, OverloadShedsWithUnavailable) {
 }
 
 TEST(EngineTest, TenantQuotaShedsBeforeGlobalPressure) {
+  // A capped kUnsafeQuery must miss the process-wide artifact cache
+  // (a hit is served past max_circuit_nodes), whatever ran before.
+  kc::GlobalCompiledQueryCache().Clear();
   EngineOptions options;
   options.threads = 1;
   Engine engine(options);
@@ -526,6 +529,9 @@ TEST(EngineTest, TenantCacheAccountingIsExactAndCapped) {
 // Graceful shutdown
 
 TEST(EngineTest, StopDrainsInFlightRejectsNewAndFlushesMetrics) {
+  // A capped kUnsafeQuery must miss the process-wide artifact cache
+  // (a hit is served past max_circuit_nodes), whatever ran before.
+  kc::GlobalCompiledQueryCache().Clear();
   EngineOptions options;
   options.threads = 2;
   Engine engine(options);

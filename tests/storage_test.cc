@@ -323,6 +323,48 @@ TEST(StorageParityTest, GroundingMatchesWorldSemanticsAndPinnedFingerprints) {
   EXPECT_EQ(digest, 0x06f818fa6a0b80caULL);
 }
 
+TEST(StorageParityTest, GroundingMatchesBothEvaluatorsOnRandomFoSentences) {
+  // Random FO sentences (negation, ∀, →, ↔, ∨, equality with present and
+  // absent constants, self-joins, nested and shadowed quantifiers) over
+  // random TIs of at most 10 facts. In every world the lineage, the naive
+  // evaluator (no guard code: every quantifier ranges over the whole
+  // domain) and the guarded evaluator must agree.
+  rel::Schema schema = TestSchema();
+  Pcg32 rng(0xd1ff);
+  logic::EvalOptions naive;
+  naive.use_guards = false;
+  for (int round = 0; round < 500; ++round) {
+    logic::Formula sentence =
+        testing_util::RandomSentence(schema, 3, 4, 3, &rng);
+    const int num_facts = 1 + static_cast<int>(rng.NextBounded(10));
+    pdb::TiPdb<math::Rational> ti =
+        testing_util::RandomRationalTi(schema, num_facts, 3, 10, &rng);
+    pqe::Lineage lineage;
+    StatusOr<pqe::NodeId> root =
+        pqe::GroundSentence(*ti.store(), sentence, &lineage);
+    ASSERT_TRUE(root.ok()) << sentence.ToString(schema);
+    const int n = static_cast<int>(ti.num_facts());
+    for (uint32_t mask = 0; mask < (1u << n); ++mask) {
+      std::vector<bool> assignment(n);
+      std::vector<rel::Fact> chosen;
+      for (int i = 0; i < n; ++i) {
+        assignment[i] = (mask >> i) & 1;
+        if (assignment[i]) chosen.push_back(ti.store()->FactAt(i));
+      }
+      const rel::Instance world(std::move(chosen));
+      StatusOr<bool> reference =
+          logic::Evaluate(world, schema, sentence, {}, naive);
+      ASSERT_TRUE(reference.ok()) << sentence.ToString(schema);
+      StatusOr<bool> guarded = logic::Evaluate(world, schema, sentence);
+      ASSERT_TRUE(guarded.ok()) << sentence.ToString(schema);
+      ASSERT_EQ(guarded.value(), reference.value())
+          << sentence.ToString(schema) << " in world " << mask;
+      ASSERT_EQ(lineage.Evaluate(root.value(), assignment), reference.value())
+          << sentence.ToString(schema) << " in world " << mask;
+    }
+  }
+}
+
 TEST(StorageParityTest, SizeDistributionUnchangedByColumnarBacking) {
   rel::Schema schema = TestSchema();
   Pcg32 rng(0x512e);

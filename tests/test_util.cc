@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <iterator>
 #include <set>
+#include <string>
 #include <utility>
 
 #include "logic/evaluator.h"
@@ -99,6 +100,102 @@ pdb::TiPdb<math::Rational> RandomRationalTi(const rel::Schema& schema,
                        math::Rational::Ratio(numerator, denom));
   }
   return pdb::TiPdb<math::Rational>::CreateOrDie(schema, std::move(facts));
+}
+
+namespace {
+
+class SentenceGenerator {
+ public:
+  SentenceGenerator(const rel::Schema& schema, int universe,
+                    std::vector<std::string> free_vars, Pcg32* rng)
+      : schema_(schema),
+        universe_(universe),
+        rng_(rng),
+        bound_(std::move(free_vars)) {}
+
+  logic::Formula Generate(int depth, int rank) {
+    // Mostly open with a quantifier, so the sentence has variables.
+    if (rank > 0 && rng_->NextBounded(4) != 0) {
+      return Quantifier(depth, rank);
+    }
+    return Subformula(depth, rank);
+  }
+
+ private:
+  logic::Formula Subformula(int depth, int rank) {
+    if (depth <= 0 || rng_->NextBounded(4) == 0) return Leaf();
+    switch (rng_->NextBounded(rank > 0 ? 11 : 7)) {
+      case 0:
+        return logic::Not(Subformula(depth - 1, rank));
+      case 1:
+      case 2:
+        return logic::And(Subformula(depth - 1, rank), Subformula(depth - 1, rank));
+      case 3:
+      case 4:
+        return logic::Or(Subformula(depth - 1, rank), Subformula(depth - 1, rank));
+      case 5:
+        return logic::Implies(Subformula(depth - 1, rank),
+                              Subformula(depth - 1, rank));
+      case 6:
+        return logic::Iff(Subformula(depth - 1, rank), Subformula(depth - 1, rank));
+      default:
+        return Quantifier(depth, rank);
+    }
+  }
+
+  logic::Formula Quantifier(int depth, int rank) {
+    static const char* const kNames[] = {"x", "y", "z"};
+    const std::string var = kNames[rng_->NextBounded(3)];
+    const bool exists = rng_->NextBounded(2) == 0;
+    bound_.push_back(var);
+    logic::Formula body = Subformula(depth - 1, rank - 1);
+    bound_.pop_back();
+    return exists ? logic::Exists(var, std::move(body))
+                  : logic::Forall(var, std::move(body));
+  }
+
+  logic::Formula Leaf() {
+    const uint32_t pick = rng_->NextBounded(10);
+    if (pick < 7) {
+      const rel::RelationId relation = static_cast<rel::RelationId>(
+          rng_->NextBounded(static_cast<uint32_t>(schema_.num_relations())));
+      std::vector<logic::Term> terms;
+      for (int p = 0; p < schema_.arity(relation); ++p) {
+        terms.push_back(RandomTerm());
+      }
+      return logic::Atom(relation, std::move(terms));
+    }
+    if (pick < 9) return logic::Eq(RandomTerm(), RandomTerm());
+    return pick % 2 == 0 ? logic::Truth() : logic::Falsity();
+  }
+
+  logic::Term RandomTerm() {
+    if (!bound_.empty() && rng_->NextBounded(10) < 7) {
+      return logic::Term::Var(
+          bound_[rng_->NextBounded(static_cast<uint32_t>(bound_.size()))]);
+    }
+    return logic::Term::Int(
+        rng_->NextBounded(static_cast<uint32_t>(universe_ + 2)));
+  }
+
+  const rel::Schema& schema_;
+  int universe_;
+  Pcg32* rng_;
+  std::vector<std::string> bound_;
+};
+
+}  // namespace
+
+logic::Formula RandomSentence(const rel::Schema& schema, int universe,
+                              int max_depth, int max_rank, Pcg32* rng) {
+  return RandomFormula(schema, universe, {}, max_depth, max_rank, rng);
+}
+
+logic::Formula RandomFormula(const rel::Schema& schema, int universe,
+                             const std::vector<std::string>& free_vars,
+                             int max_depth, int max_rank, Pcg32* rng) {
+  return SentenceGenerator(schema, universe, free_vars, rng)
+      .Generate(max_depth, max_rank);
 }
 
 math::Rational BruteForceRational(const pdb::TiPdb<math::Rational>& ti,
