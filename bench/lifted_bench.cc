@@ -67,6 +67,9 @@ pdb::TiPdb<double> StarTi(int n) {
 }
 
 const char kChainQuery[] = "exists x y. R(x) & S(x, y)";
+/// The constant-filtered probe of one hub of the chain instance (the 90%
+/// class of perfbench's serve_lifted).
+const char kConstantQuery[] = "exists y. R(777) & S(777, y)";
 const char kStarQuery[] = "exists x y z. R(x) & S(x, y) & U(x, z)";
 
 /// One-off parity probe for a row's setup: lifted answer vs the circuit
@@ -129,6 +132,12 @@ void BM_LiftedChain(benchmark::State& state) {
   LiftedRows(state, kChainQuery, ti, 10000);
 }
 BENCHMARK(BM_LiftedChain)->Arg(100)->Arg(1000)->Arg(10000)->Arg(100000);
+
+void BM_LiftedConstant(benchmark::State& state) {
+  pdb::TiPdb<double> ti = ChainTi(static_cast<int>(state.range(0)));
+  LiftedRows(state, kConstantQuery, ti, 100000);
+}
+BENCHMARK(BM_LiftedConstant)->Arg(100000);
 
 void BM_CircuitChain(benchmark::State& state) {
   pdb::TiPdb<double> ti = ChainTi(static_cast<int>(state.range(0)));

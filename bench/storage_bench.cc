@@ -18,12 +18,16 @@
 //               (re-read marginals + circuit re-evaluation) is ≥10×
 //               faster than the cold ground + compile + evaluate
 //               pipeline on the same store.
+//
+// BM_FindFact prices the point lookup every journaled mutation and every
+// grounded atom pays; ROADMAP holds it at 500 ns.
 
 #include <benchmark/benchmark.h>
 #include <malloc.h>
 #include <unistd.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <memory>
 #include <utility>
@@ -168,6 +172,47 @@ void BM_GroundColumnar(benchmark::State& state) {
   state.counters["facts"] = static_cast<double>(ti.num_facts());
 }
 BENCHMARK(BM_GroundColumnar)->Unit(benchmark::kMillisecond);
+
+/// Point lookups on n facts in the shape of perfbench's ingest_refresh
+/// instance: per symbol key one R(x) and 19 S(x, y) facts. Each
+/// iteration resolves one stored fact to its global index: dictionary
+/// probes, then one narrowing of the relation's sorted run.
+void BM_FindFact(benchmark::State& state) {
+  const int keys = static_cast<int>(state.range(0) / 20);
+  const auto key = [](int x) {
+    char buffer[16];
+    std::snprintf(buffer, sizeof buffer, "k%06d", x);
+    return rel::Value::Symbol(buffer);
+  };
+  const auto fact = [&key](int x, int d) {
+    if (d == 19) return rel::Fact(0, {key(x)});
+    return rel::Fact(1, {key(x), rel::Value::Int((x * 7 + d * 13) % 2000)});
+  };
+  storage::TiStore::Builder builder(rel::Schema({{"R", 1}, {"S", 2}}));
+  for (int x = 0; x < keys; ++x) {
+    for (int d = 0; d < 20; ++d) builder.Add(fact(x, d), PairProb(x + d));
+  }
+  std::shared_ptr<storage::TiStore> store = builder.Finish().value();
+  // A fixed spread of probes, so successive lookups touch unrelated
+  // parts of the run.
+  std::vector<rel::Fact> probes;
+  for (uint64_t i = 0; i < 4096; ++i) {
+    probes.push_back(fact(static_cast<int>(i * 2654435761u % keys),
+                          static_cast<int>(i % 20)));
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    const int64_t index = store->FindFact(probes[next]);
+    benchmark::DoNotOptimize(index);
+    if (index < 0) {
+      state.SkipWithError("stored fact not found");
+      return;
+    }
+    next = (next + 1) % probes.size();
+  }
+  state.counters["facts"] = static_cast<double>(store->num_facts());
+}
+BENCHMARK(BM_FindFact)->Arg(100000);
 
 /// Chain store for the re-query rows: n ≈ 2·hubs facts, the classic
 /// ∃x∃y R(x) ∧ S(x,y) query, forced down the circuit pipeline.

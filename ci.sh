@@ -467,31 +467,35 @@ EOF
 echo "=== observability overhead gate (Release vs obs-off) ==="
 # The permanently-instrumented serving path must cost within 5% of the
 # same code with the macros compiled out. Both runs write into their own
-# build dirs so the repo-root BENCH_pqe.json is left alone; min of 5
-# repetitions to damp scheduler noise.
+# build dirs so the repo-root BENCH_pqe.json is left alone. The builds
+# take turns, five single-repetition runs each, so a slow stretch of the
+# host lands on both instead of on one; the min of each build's five
+# damps scheduler noise.
 overhead_row='BM_WmcPathQuery/32'
-for dir in build-release build-obs-off; do
-  rm -f "${dir}/BENCH_ci_overhead.json"
-  ./"${dir}"/bench/pqe_bench \
-    --bench_json_out="${dir}/BENCH_ci_overhead.json" \
-    --benchmark_filter="${overhead_row}\$" \
-    --benchmark_repetitions=5 --benchmark_min_time=0.1 >/dev/null
+for round in 1 2 3 4 5; do
+  for dir in build-release build-obs-off; do
+    rm -f "${dir}/BENCH_ci_overhead_${round}.json"
+    ./"${dir}"/bench/pqe_bench \
+      --bench_json_out="${dir}/BENCH_ci_overhead_${round}.json" \
+      --benchmark_filter="${overhead_row}\$" \
+      --benchmark_min_time=0.1 >/dev/null
+  done
 done
 python3 - "${overhead_row}" <<'EOF'
 import json, sys
 
 row = sys.argv[1]
-def best(path):
-    # Exact-match the op name: with --benchmark_repetitions the JSON also
-    # carries _mean/_median/_stddev/_cv aggregate rows, and a prefix match
-    # would let min() pick the stddev row.
-    rows = [r["ns_per_op"] for r in json.load(open(path))["results"]
-            if r["op"] == row]
-    assert rows, f"no '{row}' rows in {path}"
+def best(build):
+    rows = []
+    for round in range(1, 6):
+        path = f"{build}/BENCH_ci_overhead_{round}.json"
+        rows += [r["ns_per_op"] for r in json.load(open(path))["results"]
+                 if r["op"] == row]
+    assert len(rows) == 5, f"expected 5 '{row}' rows from {build}"
     return min(rows)
 
-on = best("build-release/BENCH_ci_overhead.json")
-off = best("build-obs-off/BENCH_ci_overhead.json")
+on = best("build-release")
+off = best("build-obs-off")
 ratio = on / off
 verdict = "ok" if ratio <= 1.05 else "FAIL (> 5% overhead)"
 print(f"  {row}: instrumented {on:.0f} ns vs compiled-out {off:.0f} ns "

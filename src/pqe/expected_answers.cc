@@ -37,20 +37,28 @@ StatusOr<std::vector<RankedAnswer>> EnumerateAnswers(
     return answers;
   }
 
-  // Candidate values per head position: a guarded variable takes the
-  // values its guard reads from the store's facts; any other tuple has
-  // probability exactly 0. An unguarded one, or one named twice in the
-  // head (only its first position is substituted), takes the
-  // output-safety set: adom of the fact set plus query constants.
-  const logic::GuardedFormula compiled(query, head_vars);
+  // A variable the head names twice fills each of its positions with one
+  // value: a tuple whose positions for one variable differ is not an
+  // answer. So candidates range over the distinct head variables, and
+  // `var_of` maps each head position to its variable.
+  std::vector<std::string> vars;
+  std::vector<size_t> var_of;
+  for (const std::string& v : head_vars) {
+    const auto it = std::find(vars.begin(), vars.end(), v);
+    var_of.push_back(static_cast<size_t>(it - vars.begin()));
+    if (it == vars.end()) vars.push_back(v);
+  }
+
+  // Candidate values per variable: a guarded variable takes the values
+  // its guard reads from the store's facts; any other tuple has
+  // probability exactly 0. An unguarded one takes the output-safety set:
+  // adom of the fact set plus query constants.
+  const logic::GuardedFormula compiled(query, vars);
   std::vector<rel::Value> all;
-  std::vector<std::vector<rel::Value>> per_var(head_vars.size());
-  for (size_t i = 0; i < head_vars.size(); ++i) {
-    std::optional<std::vector<rel::Value>> guarded;
-    if (std::count(head_vars.begin(), head_vars.end(), head_vars[i]) == 1) {
-      guarded = GuardCandidates(*ti.store(), compiled,
-                                compiled.free_slot(head_vars[i]));
-    }
+  std::vector<std::vector<rel::Value>> per_var(vars.size());
+  for (size_t i = 0; i < vars.size(); ++i) {
+    std::optional<std::vector<rel::Value>> guarded = GuardCandidates(
+        *ti.store(), compiled, compiled.free_slot(vars[i]));
     if (guarded.has_value()) {
       per_var[i] = std::move(guarded).value();
     } else {
@@ -69,16 +77,17 @@ StatusOr<std::vector<RankedAnswer>> EnumerateAnswers(
   // Materialize the candidate grid first, then evaluate each grounded
   // query by exact WMC — independent work items, fanned out across
   // options.threads and recombined in grid order so the result does not
-  // depend on the schedule.
-  std::vector<std::vector<rel::Value>> tuples;
-  std::vector<size_t> odometer(head_vars.size(), 0);
+  // depend on the schedule. A grid point assigns the variables; its
+  // answer tuple spells them out per head position.
+  std::vector<std::vector<rel::Value>> assignments;
+  std::vector<size_t> odometer(vars.size(), 0);
   while (true) {
-    std::vector<rel::Value> tuple;
-    tuple.reserve(head_vars.size());
-    for (size_t i = 0; i < head_vars.size(); ++i) {
-      tuple.push_back(per_var[i][odometer[i]]);
+    std::vector<rel::Value> assignment;
+    assignment.reserve(vars.size());
+    for (size_t i = 0; i < vars.size(); ++i) {
+      assignment.push_back(per_var[i][odometer[i]]);
     }
-    tuples.push_back(std::move(tuple));
+    assignments.push_back(std::move(assignment));
     size_t pos = 0;
     while (pos < odometer.size()) {
       if (++odometer[pos] < per_var[pos].size()) break;
@@ -88,14 +97,14 @@ StatusOr<std::vector<RankedAnswer>> EnumerateAnswers(
     if (pos == odometer.size()) break;
   }
 
-  std::vector<double> probabilities(tuples.size(), 0.0);
-  std::vector<Status> statuses(tuples.size(), Status::Ok());
-  ParallelFor(options.threads, static_cast<int64_t>(tuples.size()),
+  std::vector<double> probabilities(assignments.size(), 0.0);
+  std::vector<Status> statuses(assignments.size(), Status::Ok());
+  ParallelFor(options.threads, static_cast<int64_t>(assignments.size()),
               [&](int64_t t) {
                 Formula grounded = query;
-                for (size_t i = 0; i < head_vars.size(); ++i) {
+                for (size_t i = 0; i < vars.size(); ++i) {
                   grounded = grounded.Substitute(
-                      head_vars[i], Term::Const(tuples[t][i]));
+                      vars[i], Term::Const(assignments[t][i]));
                 }
                 StatusOr<double> p = QueryProbability(ti, grounded);
                 if (!p.ok()) {
@@ -104,10 +113,13 @@ StatusOr<std::vector<RankedAnswer>> EnumerateAnswers(
                 }
                 probabilities[t] = p.value();
               });
-  for (size_t t = 0; t < tuples.size(); ++t) {
+  for (size_t t = 0; t < assignments.size(); ++t) {
     if (!statuses[t].ok()) return statuses[t];
     if (probabilities[t] > 0.0) {
-      answers.push_back({std::move(tuples[t]), probabilities[t]});
+      std::vector<rel::Value> tuple;
+      tuple.reserve(head_vars.size());
+      for (size_t var : var_of) tuple.push_back(assignments[t][var]);
+      answers.push_back({std::move(tuple), probabilities[t]});
     }
   }
   std::sort(answers.begin(), answers.end(),

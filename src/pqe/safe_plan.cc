@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <numeric>
 #include <set>
 #include <string>
@@ -209,60 +210,106 @@ struct LiftedSemiring<Interval> {
 
 }  // namespace
 
+/// Derives the plan from the hierarchy witness, writing nodes, children
+/// and scopes straight into the plan's flat arrays.
+class LiftedPlan::Compiler {
+ public:
+  explicit Compiler(LiftedPlan* plan)
+      : plan_(*plan),
+        atom_vars_(plan->atoms_.size()),
+        bound_(plan->variables_.size(), false) {
+    for (size_t a = 0; a < atom_vars_.size(); ++a) {
+      const PlanAtom& atom = plan_.atoms_[a];
+      std::vector<int>& vars = atom_vars_[a];
+      for (int c = 0; c < atom.arity; ++c) {
+        const size_t t = static_cast<size_t>(atom.first_term + c);
+        if (plan_.terms_[t].var >= 0) vars.push_back(plan_.terms_[t].var);
+      }
+      std::sort(vars.begin(), vars.end());
+      vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
+    }
+  }
+
+  /// Plan construction over a set of atoms, with bound_ marking the
+  /// variables projected by enclosing nodes. Returns the node index, or
+  /// kFailedPrecondition when a connected subquery has no root variable.
+  StatusOr<int> Build(const std::vector<int>& atom_set, int depth);
+
+ private:
+  /// The first column of `atom` at or after `from` that holds a variable
+  /// not yet bound: every column before it holds a constant or a bound
+  /// variable. The atom's arity when there is none.
+  int FirstUnfixed(int atom, int from) const {
+    const PlanAtom& info = plan_.atoms_[static_cast<size_t>(atom)];
+    for (int c = from; c < info.arity; ++c) {
+      const int v = plan_.terms_[static_cast<size_t>(info.first_term + c)].var;
+      if (v >= 0 && !bound_[static_cast<size_t>(v)]) return c;
+    }
+    return info.arity;
+  }
+
+  int AddNode(PlanNode node) {
+    plan_.nodes_.push_back(node);
+    return static_cast<int>(plan_.nodes_.size()) - 1;
+  }
+
+  LiftedPlan& plan_;
+  /// Per atom: sorted distinct variable ids.
+  std::vector<std::vector<int>> atom_vars_;
+  std::vector<bool> bound_;
+};
+
 StatusOr<LiftedPlan> LiftedPlan::Compile(const logic::Formula& sentence) {
   StatusOr<ParsedCq> parsed = ParseSelfJoinFreeCq(sentence);
   if (!parsed.ok()) return parsed.status();
-  LiftedPlan plan;
-  plan.atoms_ = std::move(parsed.value().atoms);
-
+  const std::vector<Formula>& atoms = parsed.value().atoms;
   // Variable ids in quantifier order (alpha-renaming made them unique).
-  std::map<std::string, int> var_id;
-  for (const std::string& v : parsed.value().variables) {
-    if (var_id.emplace(v, static_cast<int>(plan.variables_.size())).second) {
-      plan.variables_.push_back(v);
-    }
-  }
-
-  const size_t m = plan.atoms_.size();
-  plan.term_vars_.resize(m);
-  plan.term_consts_.resize(m);
-  plan.atom_vars_.resize(m);
-  for (size_t a = 0; a < m; ++a) {
-    const Formula& atom = plan.atoms_[a];
+  const std::vector<std::string>& variables = parsed.value().variables;
+  LiftedPlan plan;
+  for (const std::string& v : variables) plan.variables_.push_back(v);
+  for (const Formula& atom : atoms) {
+    PlanAtom info;
+    info.relation = atom.relation();
+    info.first_term = static_cast<int>(plan.terms_.size());
+    info.arity = static_cast<int>(atom.terms().size());
     for (const Term& t : atom.terms()) {
+      PlanTerm term;
       if (t.is_var()) {
-        auto it = var_id.find(t.var());
+        const auto it = std::find(variables.begin(), variables.end(), t.var());
         // The sentence is closed, so every term variable is quantified.
-        IPDB_CHECK(it != var_id.end()) << "unquantified variable " << t.var();
-        plan.term_vars_[a].push_back(it->second);
-        plan.term_consts_[a].push_back(rel::Value::Null());
+        IPDB_CHECK(it != variables.end())
+            << "unquantified variable " << t.var();
+        term.var = static_cast<int>(it - variables.begin());
       } else {
-        plan.term_vars_[a].push_back(-1);
-        plan.term_consts_[a].push_back(t.value());
+        const auto it = std::find(plan.constants_.begin(),
+                                  plan.constants_.end(), t.value());
+        term.constant = static_cast<int>(it - plan.constants_.begin());
+        if (it == plan.constants_.end()) plan.constants_.push_back(t.value());
       }
+      plan.terms_.push_back(term);
     }
-    std::vector<int>& vars = plan.atom_vars_[a];
-    for (int v : plan.term_vars_[a]) {
-      if (v >= 0) vars.push_back(v);
+    while (info.leading_constants < info.arity &&
+           plan.terms_[static_cast<size_t>(info.first_term +
+                                           info.leading_constants)]
+                   .var < 0) {
+      ++info.leading_constants;
     }
-    std::sort(vars.begin(), vars.end());
-    vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
-    plan.relation_atom_[atom.relation()] = static_cast<int>(a);
+    plan.atoms_.push_back(info);
   }
 
-  if (m > 0) {
-    std::vector<int> all(m);
+  if (!atoms.empty()) {
+    std::vector<int> all(atoms.size());
     std::iota(all.begin(), all.end(), 0);
-    std::vector<bool> bound(plan.variables_.size(), false);
-    StatusOr<int> root = plan.Build(all, &bound, 0);
+    Compiler compiler(&plan);
+    StatusOr<int> root = compiler.Build(all, 0);
     if (!root.ok()) return root.status();
     plan.root_ = root.value();
   }
   return plan;
 }
 
-StatusOr<int> LiftedPlan::Build(const std::vector<int>& atom_set,
-                                std::vector<bool>* bound, int depth) {
+StatusOr<int> LiftedPlan::Compiler::Build(const std::vector<int>& atom_set,
+                                          int depth) {
   // Connected components over shared *unbound* variables.
   const int n = static_cast<int>(atom_set.size());
   std::vector<int> comp(n, -1);
@@ -280,7 +327,7 @@ StatusOr<int> LiftedPlan::Build(const std::vector<int>& atom_set,
         const std::vector<int>& vj = atom_vars_[atom_set[j]];
         bool shares = false;
         for (int v : va) {
-          if ((*bound)[v]) continue;
+          if (bound_[v]) continue;
           if (std::binary_search(vj.begin(), vj.end(), v)) {
             shares = true;
             break;
@@ -296,27 +343,29 @@ StatusOr<int> LiftedPlan::Build(const std::vector<int>& atom_set,
   }
 
   if (num_comp > 1) {
-    PlanNode node;
-    node.op = PlanOp::kIndependentJoin;
+    std::vector<int> children;
     for (int c = 0; c < num_comp; ++c) {
       std::vector<int> group;
       for (int i = 0; i < n; ++i) {
         if (comp[i] == c) group.push_back(atom_set[i]);
       }
-      StatusOr<int> child = Build(group, bound, depth);
+      StatusOr<int> child = Build(group, depth);
       if (!child.ok()) return child.status();
-      node.children.push_back(child.value());
+      children.push_back(child.value());
     }
-    nodes_.push_back(std::move(node));
-    node_atoms_.push_back(atom_set);
-    return static_cast<int>(nodes_.size()) - 1;
+    PlanNode node;
+    node.op = PlanOp::kIndependentJoin;
+    node.first_child = static_cast<int>(plan_.child_ids_.size());
+    node.num_children = num_comp;
+    for (int child : children) plan_.child_ids_.push_back(child);
+    return AddNode(node);
   }
 
   // Single connected component: ground atom, or independent project.
   bool has_unbound = false;
   for (int i = 0; i < n && !has_unbound; ++i) {
     for (int v : atom_vars_[atom_set[i]]) {
-      if (!(*bound)[v]) {
+      if (!bound_[v]) {
         has_unbound = true;
         break;
       }
@@ -328,16 +377,14 @@ StatusOr<int> LiftedPlan::Build(const std::vector<int>& atom_set,
     PlanNode node;
     node.op = PlanOp::kGroundLookup;
     node.atom = atom_set[0];
-    nodes_.push_back(std::move(node));
-    node_atoms_.push_back(atom_set);
-    return static_cast<int>(nodes_.size()) - 1;
+    return AddNode(node);
   }
 
   // Root variable: an unbound variable occurring in EVERY atom of the
   // component. Its absence is the hierarchy witness's failure.
   int root_var = -1;
   for (int v : atom_vars_[atom_set[0]]) {
-    if ((*bound)[v]) continue;
+    if (bound_[v]) continue;
     bool in_all = true;
     for (int i = 1; i < n && in_all; ++i) {
       const std::vector<int>& vi = atom_vars_[atom_set[i]];
@@ -353,18 +400,43 @@ StatusOr<int> LiftedPlan::Build(const std::vector<int>& atom_set,
         "no root variable in a connected subquery — the query is not "
         "hierarchical (#P-hard; use wmc.h)");
   }
-  (*bound)[root_var] = true;
-  StatusOr<int> child = Build(atom_set, bound, depth + 1);
-  (*bound)[root_var] = false;
+  bound_[root_var] = true;
+  StatusOr<int> child = Build(atom_set, depth + 1);
+  bound_[root_var] = false;
   if (!child.ok()) return child.status();
-  depth_ = std::max(depth_, depth + 1);
+  plan_.depth_ = std::max(plan_.depth_, depth + 1);
+
   PlanNode node;
   node.op = PlanOp::kIndependentProject;
   node.project_var = root_var;
-  node.children.push_back(child.value());
-  nodes_.push_back(std::move(node));
-  node_atoms_.push_back(atom_set);
-  return static_cast<int>(nodes_.size()) - 1;
+  node.first_child = static_cast<int>(plan_.child_ids_.size());
+  node.num_children = 1;
+  plan_.child_ids_.push_back(child.value());
+  node.first_scope = static_cast<int>(plan_.scope_.size());
+  node.num_scope = n;
+  for (int a : atom_set) {
+    // Columns before FirstUnfixed are fixed over the atom's range when
+    // this node runs, so its next column ascends within the range.
+    ScopeEntry entry;
+    entry.atom = a;
+    entry.column = FirstUnfixed(a, 0);
+    const PlanAtom& info = plan_.atoms_[static_cast<size_t>(a)];
+    if (plan_.terms_[static_cast<size_t>(info.first_term + entry.column)].var ==
+        root_var) {
+      bound_[root_var] = true;
+      entry.narrow_end = FirstUnfixed(a, entry.column + 1);
+      bound_[root_var] = false;
+    } else {
+      entry.gathered = true;
+      while (plan_.terms_[static_cast<size_t>(info.first_term + entry.column)]
+                 .var != root_var) {
+        ++entry.column;  // the root variable occurs in every scope atom
+      }
+      entry.narrow_end = entry.column + 1;
+    }
+    plan_.scope_.push_back(entry);
+  }
+  return AddNode(node);
 }
 
 template <typename T, typename ProbAt>
@@ -372,10 +444,9 @@ StatusOr<T> LiftedPlan::EvaluateStoreImpl(const storage::TiStore& store,
                                           ProbAt prob_at,
                                           const LiftedOptions& options) const {
   const rel::Schema& schema = store.schema();
-  for (const Formula& atom : atoms_) {
-    if (!schema.has_relation(atom.relation()) ||
-        schema.arity(atom.relation()) !=
-            static_cast<int>(atom.terms().size())) {
+  for (const PlanAtom& atom : atoms_) {
+    if (!schema.has_relation(atom.relation) ||
+        schema.arity(atom.relation) != atom.arity) {
       return InvalidArgumentError("query does not match the TI schema");
     }
   }
@@ -406,158 +477,251 @@ StatusOr<T> LiftedPlan::EvaluateStoreImpl(const storage::TiStore& store,
     if (node.op == PlanOp::kIndependentProject) ++local.independent_projects;
   }
 
-  struct Row {
-    uint32_t row;
-    T prob;
+  // Where an atom stands in the walk: a range of `rows`, which is the
+  // table's sorted run or a gathered buffer, holding the rows that match
+  // its constants and the values bound so far on its fixed columns.
+  struct AtomState {
+    const storage::ColumnTable* table = nullptr;
+    const uint32_t* rows = nullptr;
+    storage::RunRange range;
   };
-  // Per-atom row tables straight off the columns: query constants
-  // resolve to dictionary ids once per call (a miss means the value
-  // occurs nowhere in the store, so the atom's table is empty), and the
-  // per-row filter compares uint32 ids — no rel::Fact materialization,
-  // no rel::Value comparisons.
-  std::vector<std::vector<Row>> tables(atoms_.size());
-  std::vector<const storage::ColumnTable*> atom_table(atoms_.size(), nullptr);
-  BudgetMeter meter(budget, 0, "pqe.lifted");
-  if (root_ >= 0) {
-    for (const auto& [relation, a] : relation_atom_) {
-      const storage::ColumnTable& table = store.table(relation);
-      atom_table[a] = &table;
-      const std::vector<int>& vars = term_vars_[a];
-      const std::vector<rel::Value>& consts = term_consts_[a];
-      std::vector<std::pair<int, uint32_t>> const_ids;
-      bool possible = true;
-      for (size_t pos = 0; pos < vars.size(); ++pos) {
-        if (vars[pos] >= 0) continue;
-        const uint32_t id = store.dictionary().Find(consts[pos]);
-        if (id == storage::Dictionary::kNotFound) {
-          possible = false;
-          break;
-        }
-        const_ids.emplace_back(static_cast<int>(pos), id);
-      }
-      if (!possible) continue;
-      const int64_t rows = table.num_rows();
-      Status charge = meter.Charge(rows + 1);
-      if (!charge.ok()) return charge;
-      for (int64_t r = 0; r < rows; ++r) {
-        bool matches = true;
-        for (const auto& [pos, id] : const_ids) {
-          if (table.id(pos, r) != id) {
-            matches = false;
-            break;
-          }
-        }
-        if (matches) {
-          tables[a].push_back(Row{static_cast<uint32_t>(r), prob_at(table, r)});
-        }
-      }
-    }
-  }
+  // The rows of a project's scope atom its merge has not passed yet, and
+  // the ids of the column it groups by.
+  struct Cursor {
+    const uint32_t* rows = nullptr;
+    storage::RunRange range;
+    storage::RunRange group;
+    const uint32_t* ids = nullptr;
+  };
 
   // The recursive plan walk. A local struct so the recursion can carry
   // the sticky budget error without threading StatusOr through every
-  // semiring operation (as the d-DNNF compiler does).
-  struct Evaluator {
+  // semiring operation (as the d-DNNF compiler does). All scratch is
+  // sized by the plan and held inline for small plans, except the gather
+  // buffers, which are reserved up front so the pointers into them stay
+  // valid.
+  struct Walker {
     const LiftedPlan& plan;
-    std::vector<std::vector<Row>>& tables;
-    const std::vector<const storage::ColumnTable*>& atom_table;
-    BudgetMeter& meter;
+    ProbAt& prob_at;
+    /// Null when the budget is unlimited: charging is then skipped.
+    const ExecutionBudget* budget;
+    BudgetMeter meter;
     SafePlanStats& stats;
     Status error;
+    InlineVector<AtomState, 4> atoms;
+    /// Per term: the dictionary id of its constant, or of its variable's
+    /// value while the variable is bound.
+    InlineVector<uint32_t, 8> term_ids;
+    InlineVector<uint32_t, 4> bound;
+    /// Per scope entry: the merge cursor of its project node (a node is
+    /// never re-entered while it runs).
+    InlineVector<Cursor, 8> cursors;
+    /// Gathered (id << 32 | position) keys and the rows they sort into.
+    std::vector<uint64_t> gather_keys;
+    std::vector<uint32_t> gather_rows;
+
+    bool Charge(int64_t units) {
+      if (budget == nullptr) return true;
+      Status charge = meter.Charge(units);
+      if (charge.ok()) return true;
+      error = std::move(charge);
+      return false;
+    }
 
     T Eval(int id) {
-      if (!error.ok()) return LiftedSemiring<T>::Zero();
-      Status charge = meter.Charge();
-      if (!charge.ok()) {
-        error = std::move(charge);
-        return LiftedSemiring<T>::Zero();
-      }
-      const PlanNode& node = plan.nodes_[id];
+      if (!error.ok() || !Charge(1)) return LiftedSemiring<T>::Zero();
+      const PlanNode& node = plan.nodes_[static_cast<size_t>(id)];
       switch (node.op) {
-        case PlanOp::kGroundLookup: {
-          ++stats.ground_lookups;
-          const std::vector<Row>& rows = tables[node.atom];
-          return rows.empty() ? LiftedSemiring<T>::Zero()
-                              : rows.front().prob;
-        }
+        case PlanOp::kGroundLookup:
+          return Lookup(node);
         case PlanOp::kIndependentJoin: {
           T product = LiftedSemiring<T>::One();
-          for (int child : node.children) {
+          for (int child : plan.children(node)) {
             product = product * Eval(child);
             if (!error.ok()) return LiftedSemiring<T>::Zero();
           }
           return product;
         }
         case PlanOp::kIndependentProject:
-          return EvalProject(id, node);
+          return EvalProject(node);
       }
       return LiftedSemiring<T>::Zero();
     }
 
-    T EvalProject(int id, const PlanNode& node) {
-      const std::vector<int>& scope = plan.node_atoms_[id];
-      const int var = node.project_var;
-      // Bucket by the projected variable's dictionary id. Interning is
-      // injective, so id equality is value equality; candidates iterate
-      // in id order (deterministic, though not Value order — exact
-      // results are order-independent and double products commute up to
-      // rounding).
-      std::vector<std::map<uint32_t, std::vector<Row>>> buckets(scope.size());
-      for (size_t k = 0; k < scope.size(); ++k) {
-        std::vector<Row>& rows = tables[scope[k]];
-        Status charge = meter.Charge(static_cast<int64_t>(rows.size()) + 1);
-        if (!charge.ok()) {
-          error = std::move(charge);
-          return LiftedSemiring<T>::Zero();
-        }
-        const std::vector<int>& vars = plan.term_vars_[scope[k]];
-        const storage::ColumnTable& table = *atom_table[scope[k]];
-        size_t first_pos = 0;
-        while (vars[first_pos] != var) ++first_pos;  // root var: occurs
-        for (Row& row : rows) {
-          const uint32_t value =
-              table.id(static_cast<int>(first_pos), row.row);
-          bool consistent = true;
-          for (size_t pos = first_pos + 1; pos < vars.size(); ++pos) {
-            if (vars[pos] == var &&
-                table.id(static_cast<int>(pos), row.row) != value) {
-              consistent = false;
-              break;
-            }
-          }
-          if (consistent) buckets[k][value].push_back(std::move(row));
-        }
+    /// A ground lookup: every column is fixed, so the atom's range holds
+    /// at most the one row.
+    T Lookup(const PlanNode& node) {
+      ++stats.ground_lookups;
+      const AtomState& atom = atoms[static_cast<size_t>(node.atom)];
+      return atom.range.empty()
+                 ? LiftedSemiring<T>::Zero()
+                 : prob_at(*atom.table, atom.rows[atom.range.begin]);
+    }
+
+    /// Sorts the atom's rows by their id in `column`, keeping run order
+    /// within each id, into the gather buffers; returns the cursor.
+    Cursor Gather(const AtomState& atom, int column) {
+      const size_t base = gather_keys.size();
+      for (int64_t k = atom.range.begin; k < atom.range.end; ++k) {
+        gather_keys.push_back(
+            static_cast<uint64_t>(atom.table->id(column, atom.rows[k])) << 32 |
+            static_cast<uint64_t>(k - atom.range.begin));
       }
-      size_t guard = 0;
-      for (size_t k = 1; k < scope.size(); ++k) {
-        if (buckets[k].size() < buckets[guard].size()) guard = k;
+      std::sort(gather_keys.begin() + static_cast<ptrdiff_t>(base),
+                gather_keys.end());
+      for (size_t i = base; i < gather_keys.size(); ++i) {
+        gather_rows.push_back(
+            atom.rows[atom.range.begin +
+                      static_cast<int64_t>(gather_keys[i] & 0xffffffffu)]);
       }
+      return Cursor{gather_rows.data() + base,
+                    {0, static_cast<int64_t>(gather_keys.size() - base)},
+                    {},
+                    nullptr};
+    }
+
+    T EvalProject(const PlanNode& node) {
+      const ScopeEntry* entries = plan.scope_.data() + node.first_scope;
+      Cursor* cursor = cursors.data() + node.first_scope;
+      const int n = node.num_scope;
       typename LiftedSemiring<T>::ComplementProduct complement;
-      for (auto& [value, guard_rows] : buckets[guard]) {
+      const size_t first_atom = static_cast<size_t>(entries[0].atom);
+      if (n == 1 && !entries[0].gathered &&
+          entries[0].column == plan.atoms_[first_atom].arity - 1) {
+        // The innermost project over an atom's last column: the other
+        // columns are fixed, so each position is a group of one row and
+        // the child is that row's lookup.
+        const AtomState& atom = atoms[first_atom];
+        for (int64_t k = atom.range.begin; k < atom.range.end; ++k) {
+          if (!Charge(1)) return LiftedSemiring<T>::Zero();
+          ++stats.ground_lookups;
+          complement.MulComplement(prob_at(*atom.table, atom.rows[k]));
+        }
+        return complement.Result();
+      }
+      const size_t gather_base = gather_keys.size();
+      for (int i = 0; i < n; ++i) {
+        const AtomState& atom = atoms[static_cast<size_t>(entries[i].atom)];
+        if (!entries[i].gathered) {
+          cursor[i] = Cursor{atom.rows, atom.range, {}, nullptr};
+        } else {
+          if (!Charge(atom.range.size() + 1)) return LiftedSemiring<T>::Zero();
+          cursor[i] = Gather(atom, entries[i].column);
+        }
+        cursor[i].ids = atom.table->column(entries[i].column).data();
+      }
+      // Merge the atoms' groups in ascending id: the candidate is the
+      // largest id under the cursors, and an atom without it moves its
+      // cursor past it.
+      const uint32_t var = static_cast<uint32_t>(node.project_var);
+      const int child = plan.children(node)[0];
+      while (true) {
+        uint32_t value = 0;
+        bool exhausted = false;
+        for (int i = 0; i < n && !exhausted; ++i) {
+          if (cursor[i].range.empty()) {
+            exhausted = true;
+          } else {
+            value = std::max(
+                value, cursor[i].ids[cursor[i].rows[cursor[i].range.begin]]);
+          }
+        }
+        if (exhausted || !Charge(1)) break;
         bool everywhere = true;
-        for (size_t k = 0; k < scope.size() && everywhere; ++k) {
-          if (k != guard) everywhere = buckets[k].count(value) > 0;
+        for (int i = 0; i < n && everywhere; ++i) {
+          cursor[i].group =
+              atoms[static_cast<size_t>(entries[i].atom)].table->Narrow(
+                  cursor[i].rows, cursor[i].range, entries[i].column, &value,
+                  1);
+          if (cursor[i].group.empty()) {
+            cursor[i].range.begin = cursor[i].group.begin;
+            everywhere = false;
+          }
         }
         if (!everywhere) continue;
-        for (size_t k = 0; k < scope.size(); ++k) {
-          tables[scope[k]] = std::move(buckets[k][value]);
+        bound[var] = value;
+        // Bind the groups; an in-place atom keeps narrowing on the
+        // constants and bound variables that follow the grouped column.
+        bool nonempty = true;
+        for (int i = 0; i < n; ++i) {
+          const ScopeEntry& entry = entries[i];
+          AtomState& atom = atoms[static_cast<size_t>(entry.atom)];
+          cursor[i].range.begin = cursor[i].group.end;
+          atom.rows = cursor[i].rows;
+          atom.range = cursor[i].group;
+          if (entry.gathered || entry.narrow_end == entry.column + 1) continue;
+          const PlanAtom& info = plan.atoms_[static_cast<size_t>(entry.atom)];
+          for (int c = entry.column + 1; c < entry.narrow_end; ++c) {
+            const size_t t = static_cast<size_t>(info.first_term + c);
+            const int v = plan.terms_[t].var;
+            if (v >= 0) term_ids[t] = bound[static_cast<size_t>(v)];
+          }
+          atom.range = atom.table->Narrow(
+              atom.rows, atom.range, entry.column + 1,
+              term_ids.data() + info.first_term + entry.column + 1,
+              entry.narrow_end - entry.column - 1);
+          nonempty = nonempty && !atom.range.empty();
         }
-        T p = Eval(node.children[0]);
-        if (!error.ok()) return LiftedSemiring<T>::Zero();
+        if (!nonempty) continue;
+        const T p = Eval(child);
+        if (!error.ok()) break;
         complement.MulComplement(p);
       }
+      gather_keys.resize(gather_base);
+      gather_rows.resize(gather_base);
+      if (!error.ok()) return LiftedSemiring<T>::Zero();
       return complement.Result();
     }
   };
 
   T result = LiftedSemiring<T>::One();
   if (root_ >= 0) {
-    Evaluator evaluator{*this, tables, atom_table, meter, local,
-                        Status::Ok()};
-    result = evaluator.Eval(root_);
-    if (!evaluator.error.ok()) {
-      return IPDB_STATUS_FORWARD(evaluator.error)
-             << "lifted evaluation aborted";
+    Walker walker{*this,
+                  prob_at,
+                  budget,
+                  BudgetMeter(budget, 0, "pqe.lifted"),
+                  local,
+                  Status::Ok(),
+                  InlineVector<AtomState, 4>(atoms_.size()),
+                  InlineVector<uint32_t, 8>(terms_.size()),
+                  InlineVector<uint32_t, 4>(variables_.size()),
+                  InlineVector<Cursor, 8>(scope_.size()),
+                  {},
+                  {}};
+    // Constants resolve to dictionary ids once per call. One absent from
+    // the dictionary occurs in no fact, so its atom's range is empty;
+    // leading constants narrow the atom's sorted run.
+    for (size_t a = 0; a < atoms_.size(); ++a) {
+      const PlanAtom& info = atoms_[a];
+      AtomState& atom = walker.atoms[a];
+      atom.table = &store.table(info.relation);
+      atom.rows = atom.table->sorted_run().data();
+      atom.range = atom.table->whole_run();
+      for (int c = 0; c < info.arity; ++c) {
+        const size_t t = static_cast<size_t>(info.first_term + c);
+        if (terms_[t].var >= 0) continue;
+        walker.term_ids[t] = store.dictionary().Find(
+            constants_[static_cast<size_t>(terms_[t].constant)]);
+        if (walker.term_ids[t] == storage::Dictionary::kNotFound) {
+          atom.range = {};
+        }
+      }
+      atom.range = atom.table->Narrow(
+          atom.range, 0, walker.term_ids.data() + info.first_term,
+          info.leading_constants);
+    }
+    int64_t gathered_rows = 0;
+    for (const ScopeEntry& entry : scope_) {
+      if (entry.gathered) {
+        gathered_rows += walker.atoms[static_cast<size_t>(entry.atom)]
+                             .table->num_rows();
+      }
+    }
+    walker.gather_keys.reserve(static_cast<size_t>(gathered_rows));
+    walker.gather_rows.reserve(static_cast<size_t>(gathered_rows));
+    result = walker.Eval(root_);
+    if (!walker.error.ok()) {
+      return IPDB_STATUS_FORWARD(walker.error) << "lifted evaluation aborted";
     }
   }
 
@@ -591,9 +755,9 @@ StatusOr<P> LiftedPlan::Evaluate(const pdb::TiPdb<P>& ti,
   if constexpr (!pdb::ProbTraits<P>::kExact) {
     return Evaluate(store, options);
   } else {
-    for (const auto& [relation, a] : relation_atom_) {
-      if (!store.schema().has_relation(relation)) continue;  // caught below
-      const storage::ColumnTable& table = store.table(relation);
+    for (const PlanAtom& atom : atoms_) {
+      if (!store.schema().has_relation(atom.relation)) continue;  // below
+      const storage::ColumnTable& table = store.table(atom.relation);
       if (table.num_exact() != table.num_rows()) {
         return FailedPreconditionError(
             "exact lifted evaluation requires an exact marginal for every "
@@ -626,18 +790,30 @@ StatusOr<Interval> LiftedPlan::EvaluateInterval(
 
 std::string LiftedPlan::NodeToString(int node,
                                      const rel::Schema& schema) const {
-  const PlanNode& n = nodes_[node];
+  const PlanNode& n = nodes_[static_cast<size_t>(node)];
   switch (n.op) {
-    case PlanOp::kGroundLookup:
-      return "lookup(" + atoms_[n.atom].ToString(schema) + ")";
+    case PlanOp::kGroundLookup: {
+      const PlanAtom& atom = atoms_[static_cast<size_t>(n.atom)];
+      std::vector<Term> terms;
+      for (int c = 0; c < atom.arity; ++c) {
+        const PlanTerm& t = terms_[static_cast<size_t>(atom.first_term + c)];
+        terms.push_back(
+            t.var >= 0
+                ? Term::Var(variables_[static_cast<size_t>(t.var)])
+                : Term::Const(constants_[static_cast<size_t>(t.constant)]));
+      }
+      return "lookup(" +
+             logic::Atom(atom.relation, std::move(terms)).ToString(schema) +
+             ")";
+    }
     case PlanOp::kIndependentProject:
-      return "project[" + variables_[n.project_var] + "](" +
-             NodeToString(n.children[0], schema) + ")";
+      return "project[" + variables_[static_cast<size_t>(n.project_var)] +
+             "](" + NodeToString(children(n)[0], schema) + ")";
     case PlanOp::kIndependentJoin: {
-      std::string out = "join(";
-      for (size_t i = 0; i < n.children.size(); ++i) {
-        if (i > 0) out += ", ";
-        out += NodeToString(n.children[i], schema);
+      std::string out;
+      for (int child : children(n)) {
+        out += out.empty() ? "join(" : ", ";
+        out += NodeToString(child, schema);
       }
       return out + ")";
     }

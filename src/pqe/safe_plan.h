@@ -2,7 +2,7 @@
 #define IPDB_PQE_SAFE_PLAN_H_
 
 #include <cstdint>
-#include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -11,6 +11,7 @@
 #include "relational/value.h"
 #include "storage/ti_store.h"
 #include "util/budget.h"
+#include "util/inline_vector.h"
 #include "util/interval.h"
 #include "util/status.h"
 
@@ -37,9 +38,9 @@ namespace pqe {
 /// The engine is compile-once / evaluate-many: `LiftedPlan::Compile`
 /// derives an extensional plan IR (independent-project /
 /// independent-join / ground-lookup nodes) from the hierarchy witness,
-/// and `Evaluate` runs it over per-atom row tables built in one scan of
-/// the queried relations' columns — no re-parse, no re-scan, no per-call
-/// fact copies. Like
+/// and `Evaluate` walks it over the store's sorted runs in place: each
+/// atom is a range of sorted-run positions, narrowed by its constants and
+/// by the values outer projects bind — no row copies, no re-scan. Like
 /// kc::EvaluateCircuit, evaluation is generic over the value semiring:
 /// `double` (numerically stable complement products via log1p/expm1),
 /// exact `math::Rational`, and certified `Interval` enclosures.
@@ -91,14 +92,23 @@ enum class PlanOp {
 /// reference each other by index; the IR is a tree rooted at root().
 struct PlanNode {
   PlanOp op = PlanOp::kGroundLookup;
-  /// kIndependentProject: the projected variable (index into
-  /// LiftedPlan::variables()); -1 otherwise.
+  /// kIndependentProject: the projected variable, numbered in quantifier
+  /// order (ParsedCq::variables); -1 otherwise.
   int project_var = -1;
-  /// kGroundLookup: the atom looked up (index into atoms()); -1 otherwise.
+  /// kGroundLookup: the atom looked up, numbered in conjunct order
+  /// (ParsedCq::atoms); -1 otherwise.
   int atom = -1;
-  /// Child node indexes (kIndependentJoin: one per component;
-  /// kIndependentProject: exactly one).
-  std::vector<int> children;
+  /// The node's children, read through LiftedPlan::children(): entries
+  /// [first_child, first_child + num_children) of the plan's flat child
+  /// array (kIndependentJoin: one per component; kIndependentProject:
+  /// exactly one).
+  int first_child = 0;
+  int num_children = 0;
+  /// kIndependentProject: the atoms in the node's scope, as entries
+  /// [first_scope, first_scope + num_scope) of the plan's flat scope
+  /// array.
+  int first_scope = 0;
+  int num_scope = 0;
 };
 
 /// Evaluation knobs for LiftedPlan::Evaluate.
@@ -113,10 +123,25 @@ struct LiftedOptions {
 
 /// A compiled safe plan for one hierarchical self-join-free boolean CQ.
 /// Compilation is data-independent; one plan serves any TI-PDB whose
-/// schema covers the query's relations. Evaluation over n facts costs
-/// O(n log n) per query (bucketing facts by the projected variable's
-/// value at every project node), versus the worst-case exponential
-/// ground-then-compile path.
+/// schema covers the query's relations. The plan is flat: atom terms,
+/// constants, node children and node scopes live in a few arrays with
+/// offsets, each held inline up to a size that covers common queries, so
+/// a small plan owns no heap memory and destroying it frees nothing.
+///
+/// Evaluation reads only the rows the query's constants and bindings
+/// select. An atom's leading constants narrow its sorted run once per
+/// call. A project merges its scope atoms' groups of the projected
+/// variable in ascending dictionary id (each group is one
+/// ColumnTable::Narrow of the atom's range) and then narrows each atom
+/// further while its next column holds a constant or a bound variable,
+/// so a ground lookup reads a range of at most one row; an innermost
+/// project over an atom's last column reads each position as a group of
+/// one row. A constant filter costs a few binary searches and a full
+/// scan visits each group once, with no allocation that grows with n.
+/// The one exception is an atom whose next unfixed column is not the
+/// projected variable, as S in R(x) ∧ S(y, x): its candidate rows are
+/// gathered once into a flat buffer of (id, position) pairs, sorted by
+/// id and merged the same way.
 class LiftedPlan {
  public:
   /// Derives the plan from the hierarchy witness of `sentence`. Fails
@@ -137,11 +162,11 @@ class LiftedPlan {
   StatusOr<P> Evaluate(const pdb::TiPdb<P>& ti,
                        const LiftedOptions& options = {}) const;
 
-  /// Columnar evaluation: scans the store's per-relation column tables
-  /// directly — row tables hold (row index, marginal) pairs, query
-  /// constants resolve to dictionary ids once per call, and project
-  /// buckets key on `uint32_t` ids instead of `rel::Value` copies. No
-  /// rel::Fact or rel::Value is materialized on the hot path.
+  /// Columnar evaluation: walks the store's per-relation sorted runs in
+  /// place. Query constants resolve to dictionary ids once per call and
+  /// groups are ranges of `uint32_t` ids; marginals are read by row
+  /// through the run's permutation. No rel::Fact or rel::Value is
+  /// materialized on the hot path.
   StatusOr<double> Evaluate(const storage::TiStore& store,
                             const LiftedOptions& options = {}) const;
 
@@ -152,9 +177,12 @@ class LiftedPlan {
   StatusOr<Interval> EvaluateInterval(const pdb::TiPdb<double>& ti,
                                       const LiftedOptions& options = {}) const;
 
-  const std::vector<logic::Formula>& atoms() const { return atoms_; }
-  const std::vector<std::string>& variables() const { return variables_; }
-  const std::vector<PlanNode>& nodes() const { return nodes_; }
+  std::span<const PlanNode> nodes() const { return nodes_.span(); }
+  /// A node's children in order, as node indexes.
+  std::span<const int> children(const PlanNode& node) const {
+    return child_ids_.span().subspan(static_cast<size_t>(node.first_child),
+                                     static_cast<size_t>(node.num_children));
+  }
   /// Root node index; -1 for the empty conjunction (probability 1).
   int root() const { return root_; }
   /// Maximum project-nesting depth of the plan.
@@ -165,14 +193,36 @@ class LiftedPlan {
   std::string ToString(const rel::Schema& schema) const;
 
  private:
-  LiftedPlan() = default;
+  class Compiler;
 
-  /// Recursive plan construction over a set of atoms (indexes into
-  /// atoms_) with `bound` marking variables already projected by an
-  /// enclosing node. Returns the node index, or kFailedPrecondition
-  /// when a connected subquery has no root variable.
-  StatusOr<int> Build(const std::vector<int>& atom_set,
-                      std::vector<bool>* bound, int depth);
+  /// One argument position of an atom: a variable id, or -1 and the
+  /// index of its value among the distinct constants.
+  struct PlanTerm {
+    int var = -1;
+    int constant = -1;
+  };
+  /// Per atom: its terms are terms_[first_term, first_term + arity), and
+  /// its first `leading_constants` terms are constants.
+  struct PlanAtom {
+    rel::RelationId relation = 0;
+    int first_term = 0;
+    int arity = 0;
+    int leading_constants = 0;
+  };
+  /// One atom in a project node's scope. `column` is the atom's first
+  /// column not fixed by constants or outer bindings when it holds the
+  /// projected variable: the project groups the atom's range in place and
+  /// then narrows it on columns [column + 1, narrow_end), which hold
+  /// constants or bound variables. Otherwise the atom is `gathered` on
+  /// `column`, the projected variable's first position.
+  struct ScopeEntry {
+    int atom = 0;
+    int column = 0;
+    int narrow_end = 0;
+    bool gathered = false;
+  };
+
+  LiftedPlan() = default;
 
   /// The one plan walk behind every Evaluate* entry point: T is the
   /// result semiring (double, math::Rational or Interval) and `prob_at`
@@ -183,21 +233,18 @@ class LiftedPlan {
 
   std::string NodeToString(int node, const rel::Schema& schema) const;
 
-  std::vector<logic::Formula> atoms_;
-  std::vector<std::string> variables_;
-  /// Per atom: the variable id at each argument position (-1 = constant).
-  std::vector<std::vector<int>> term_vars_;
-  /// Per atom: the constant at each position (meaningful where
-  /// term_vars_ is -1; Null elsewhere).
-  std::vector<std::vector<rel::Value>> term_consts_;
-  /// Per atom: sorted distinct variable ids.
-  std::vector<std::vector<int>> atom_vars_;
-  /// relation id -> atom index (injective: the query is self-join-free).
-  std::map<rel::RelationId, int> relation_atom_;
-  std::vector<PlanNode> nodes_;
-  /// Per node: the atom indexes in the node's scope (used by project
-  /// nodes to bucket their component's fact tables).
-  std::vector<std::vector<int>> node_atoms_;
+  // The inline sizes hold the service's queries (up to four atoms, four
+  // variables and two distinct constants), so a served plan is built
+  // and destroyed without touching the heap; larger plans spill.
+  /// Variable names in id order, for ToString.
+  InlineVector<std::string, 4> variables_;
+  InlineVector<PlanAtom, 4> atoms_;
+  InlineVector<PlanTerm, 8> terms_;
+  /// Distinct constants.
+  InlineVector<rel::Value, 2> constants_;
+  InlineVector<PlanNode, 8> nodes_;
+  InlineVector<int, 8> child_ids_;
+  InlineVector<ScopeEntry, 8> scope_;
   int root_ = -1;
   int depth_ = 0;
 };

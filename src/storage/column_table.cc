@@ -43,22 +43,6 @@ bool ColumnTable::RowLess(int64_t a, int64_t b) const {
   return false;
 }
 
-bool ColumnTable::RowEquals(int64_t a, const uint32_t* ids) const {
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    if (columns_[c][static_cast<size_t>(a)] != ids[c]) return false;
-  }
-  return true;
-}
-
-int ColumnTable::CompareRowPrefix(int64_t a, const uint32_t* prefix,
-                                  int prefix_len) const {
-  for (int c = 0; c < prefix_len; ++c) {
-    const uint32_t va = columns_[static_cast<size_t>(c)][static_cast<size_t>(a)];
-    if (va != prefix[c]) return va < prefix[c] ? -1 : 1;
-  }
-  return 0;
-}
-
 Status ColumnTable::FinishBuild(int64_t* duplicate_row) {
   sorted_.resize(static_cast<size_t>(num_rows()));
   std::iota(sorted_.begin(), sorted_.end(), 0u);
@@ -81,43 +65,14 @@ Status ColumnTable::FinishBuild(int64_t* duplicate_row) {
 }
 
 int64_t ColumnTable::FindRow(const uint32_t* ids) const {
-  const auto [begin, end] = PrefixRange(ids, arity());
-  if (begin == end) return -1;
-  return static_cast<int64_t>(sorted_[static_cast<size_t>(begin)]);
-}
-
-std::pair<int64_t, int64_t> ColumnTable::PrefixRange(const uint32_t* prefix,
-                                                     int prefix_len) const {
-  IPDB_CHECK_LE(prefix_len, arity());
-  int64_t lo = 0;
-  int64_t hi = static_cast<int64_t>(sorted_.size());
-  // Lower bound.
-  while (lo < hi) {
-    const int64_t mid = lo + (hi - lo) / 2;
-    if (CompareRowPrefix(sorted_[static_cast<size_t>(mid)], prefix,
-                         prefix_len) < 0) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  const int64_t begin = lo;
-  hi = static_cast<int64_t>(sorted_.size());
-  // Upper bound.
-  while (lo < hi) {
-    const int64_t mid = lo + (hi - lo) / 2;
-    if (CompareRowPrefix(sorted_[static_cast<size_t>(mid)], prefix,
-                         prefix_len) <= 0) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return {begin, lo};
+  const RunRange match = PrefixRange(ids, arity());
+  if (match.empty()) return -1;
+  return static_cast<int64_t>(sorted_row(match.begin));
 }
 
 StatusOr<int64_t> ColumnTable::Insert(const uint32_t* ids, double prob) {
-  if (FindRow(ids) >= 0) {
+  const RunRange match = PrefixRange(ids, arity());
+  if (!match.empty()) {
     return IPDB_STATUS(StatusCode::kInvalidArgument)
            << "insert of duplicate fact";
   }
@@ -125,12 +80,10 @@ StatusOr<int64_t> ColumnTable::Insert(const uint32_t* ids, double prob) {
   const int64_t row = num_rows();
   for (size_t c = 0; c < columns_.size(); ++c) columns_[c].push_back(ids[c]);
   probs_.push_back(prob);
-  // Splice the new row into the sorted run at its lower bound.
-  auto pos = std::lower_bound(
-      sorted_.begin(), sorted_.end(), row, [this, ids](uint32_t a, int64_t) {
-        return CompareRowPrefix(a, ids, arity()) < 0;
-      });
-  sorted_.insert(pos, static_cast<uint32_t>(row));
+  // Splice the new row into the sorted run at its lower bound, where the
+  // empty match begins.
+  sorted_.insert(sorted_.begin() + static_cast<ptrdiff_t>(match.begin),
+                 static_cast<uint32_t>(row));
   return row;
 }
 

@@ -99,13 +99,10 @@ bool TiStore::InternArgs(const rel::Fact& fact, std::vector<uint32_t>* ids) {
   return true;
 }
 
-bool TiStore::ResolveArgs(const rel::Fact& fact,
-                          std::vector<uint32_t>* ids) const {
-  ids->clear();
-  for (const rel::Value& v : fact.args()) {
-    const uint32_t id = dict_.Find(v);
-    if (id == Dictionary::kNotFound) return false;
-    ids->push_back(id);
+bool TiStore::ResolveArgs(const rel::Fact& fact, uint32_t* ids) const {
+  for (size_t i = 0; i < fact.args().size(); ++i) {
+    ids[i] = dict_.Find(fact.args()[i]);
+    if (ids[i] == Dictionary::kNotFound) return false;
   }
   return true;
 }
@@ -138,10 +135,19 @@ int64_t TiStore::FindFact(const rel::Fact& fact) const {
       schema_.arity(fact.relation()) != fact.arity()) {
     return -1;
   }
-  std::vector<uint32_t> ids;
-  if (!ResolveArgs(fact, &ids)) return -1;
+  // Probes run per grounded atom and per journaled mutation: ids of
+  // common arities resolve into a stack buffer, not a heap vector.
+  constexpr int kInlineArity = 8;
+  uint32_t inline_ids[kInlineArity];
+  std::vector<uint32_t> spilled;
+  uint32_t* ids = inline_ids;
+  if (fact.arity() > kInlineArity) {
+    spilled.resize(static_cast<size_t>(fact.arity()));
+    ids = spilled.data();
+  }
+  if (!ResolveArgs(fact, ids)) return -1;
   const int64_t row =
-      tables_[static_cast<size_t>(fact.relation())].FindRow(ids.data());
+      tables_[static_cast<size_t>(fact.relation())].FindRow(ids);
   if (row < 0) return -1;
   return global_index(fact.relation(), row);
 }

@@ -174,9 +174,10 @@ class TiStore {
 
   /// Interns `fact`'s args into scratch; returns false on arity mismatch.
   bool InternArgs(const rel::Fact& fact, std::vector<uint32_t>* ids);
-  /// Read-only variant: resolves args without interning; false when any
-  /// value is unknown to the dictionary (the fact cannot be stored).
-  bool ResolveArgs(const rel::Fact& fact, std::vector<uint32_t>* ids) const;
+  /// Read-only variant: resolves args into ids[0, arity) without
+  /// interning; false when any value is unknown to the dictionary (the
+  /// fact cannot be stored).
+  bool ResolveArgs(const rel::Fact& fact, uint32_t* ids) const;
 
   void BumpStructure();
 

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "kc/cache.h"
+#include "logic/evaluator.h"
 #include "logic/parser.h"
 #include "logic/view.h"
 #include "pdb/pushforward.h"
@@ -96,6 +97,40 @@ TEST(ExpectedAnswersTest, UncoveredFreeVariableFails) {
   pdb::TiPdb<double> ti = TestTi();
   logic::Formula q = logic::ParseFormula("R(x, y)", ti.schema()).value();
   EXPECT_FALSE(ExpectedAnswerCount(ti, q, {"x"}).ok());
+}
+
+TEST(ExpectedAnswersTest, RepeatedHeadVariableFillsEveryPosition) {
+  // A head that names x twice answers (v, v) for each answer v of the
+  // query; a tuple whose two positions differ is not an answer. Over
+  // S(1), U(2) the query S(x) has the one answer x = 1.
+  rel::Schema schema({{"S", 1}, {"U", 1}});
+  pdb::TiPdb<double> ti = pdb::TiPdb<double>::CreateOrDie(
+      schema, {{rel::Fact(0, {rel::Value::Int(1)}), 0.5},
+               {rel::Fact(1, {rel::Value::Int(2)}), 0.25}});
+  logic::Formula q = logic::ParseFormula("S(x)", schema).value();
+  auto ranked = RankedAnswers(ti, q, {"x", "x"});
+  ASSERT_TRUE(ranked.ok());
+  ASSERT_EQ(ranked.value().size(), 1u);
+  EXPECT_EQ(ranked.value()[0].tuple,
+            (std::vector<rel::Value>{rel::Value::Int(1), rel::Value::Int(1)}));
+  EXPECT_EQ(ranked.value()[0].probability, 0.5);
+  auto expected = ExpectedAnswerCount(ti, q, {"x", "x"});
+  ASSERT_TRUE(expected.ok());
+  EXPECT_EQ(expected.value(), 0.5);
+
+  // The FO evaluator agrees world by world: its answers to S(x) under
+  // the head (x, x) are (1, 1) exactly when S(1) is present.
+  double size = 0.0;
+  const pdb::FinitePdb<double> worlds = ti.Expand();
+  for (const auto& [world, probability] : worlds.worlds()) {
+    auto answers = logic::EvaluateQuery(world, schema, q, {"x", "x"});
+    ASSERT_TRUE(answers.ok());
+    for (const std::vector<rel::Value>& answer : answers.value()) {
+      EXPECT_EQ(answer[0], answer[1]);
+    }
+    size += probability * static_cast<double>(answers.value().size());
+  }
+  EXPECT_NEAR(size, expected.value(), 1e-12);
 }
 
 /// The answer list as enumerated before head candidates came from the
