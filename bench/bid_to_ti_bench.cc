@@ -26,9 +26,9 @@ void Run(const char* label, const pdb::BidPdb<Rational>& bid) {
   }
   auto tv = core::VerifyBidToTi(bid, built.value());
   int facts = built.value().ti.num_facts();
-  std::printf("  %-34s blocks=%-3d facts=%-3d condition size=%-5d "
+  std::printf("  %-34s blocks=%-3lld facts=%-3d condition size=%-5d "
               "TV=%s\n",
-              label, bid.num_blocks(), facts,
+              label, static_cast<long long>(bid.num_blocks()), facts,
               built.value().condition.Size(),
               tv.ok() ? (tv.value() == 0.0 ? "0 (exact)" : "nonzero!")
                       : "error");
@@ -76,10 +76,12 @@ int main() {
     if (built.ok()) {
       auto tv = core::VerifyBidToTi(prefix, built.value());
       std::printf(
-          "  %-34s blocks=%-3d facts=%-3d condition size=%-5d "
+          "  %-34s blocks=%-3lld facts=%-3lld condition size=%-5d "
           "TV=%.3g\n",
-          "Prop. D.3 truncation (double)", prefix.num_blocks(),
-          built.value().ti.num_facts(), built.value().condition.Size(),
+          "Prop. D.3 truncation (double)",
+          static_cast<long long>(prefix.num_blocks()),
+          static_cast<long long>(built.value().ti.num_facts()),
+          built.value().condition.Size(),
           tv.ok() ? tv.value() : -1.0);
     }
   }

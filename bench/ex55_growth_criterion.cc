@@ -51,9 +51,10 @@ int main() {
       auto tv = core::VerifySegmentConstruction(prefix.value(),
                                                 built.value());
       std::printf(
-          "Lemma 5.1 on the 3-world truncation: %d segment facts, "
+          "Lemma 5.1 on the 3-world truncation: %lld segment facts, "
           "TV = %.3g\n",
-          built.value().ti.num_facts(), tv.ok() ? tv.value() : -1.0);
+          static_cast<long long>(built.value().ti.num_facts()),
+          tv.ok() ? tv.value() : -1.0);
     }
   }
   return 0;

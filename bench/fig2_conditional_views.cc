@@ -30,12 +30,12 @@ void Run(const char* label, const pdb::TiPdb<Rational>& ti,
     return;
   }
   auto tv = core::VerifyConditionElimination(built.value());
-  std::printf("  %-28s k=%-3d p0=%-8s |facts(J)|=%-4d worlds(D)=%-3d "
+  std::printf("  %-28s k=%-3d p0=%-8s |facts(J)|=%-4lld worlds(D)=%-3lld "
               "TV=%.3g\n",
               label, built.value().k,
               built.value().p0.ToString().c_str(),
-              built.value().ti.num_facts(),
-              built.value().target.num_worlds(),
+              static_cast<long long>(built.value().ti.num_facts()),
+              static_cast<long long>(built.value().target.num_worlds()),
               tv.ok() ? tv.value() : -1.0);
 }
 

@@ -33,9 +33,9 @@ void Run(const char* label, const pdb::FinitePdb<double>& input, int c) {
     return;
   }
   auto tv = core::VerifySegmentConstruction(input, built.value());
-  std::printf("  %-26s c=%-2d segments=%-3d sum(q)=%-8.4f arity=%-3d "
+  std::printf("  %-26s c=%-2d segments=%-3lld sum(q)=%-8.4f arity=%-3d "
               "TV=%.3g\n",
-              label, c, built.value().ti.num_facts(),
+              label, c, static_cast<long long>(built.value().ti.num_facts()),
               built.value().marginal_sum,
               built.value().hat_schema.arity(0),
               tv.ok() ? tv.value() : -1.0);
@@ -69,9 +69,10 @@ int main() {
   auto bounded = core::BuildBoundedSizeConstruction(mixed);
   if (bounded.ok()) {
     std::printf(
-        "\nCorollary 5.4 (c = max size = %d): segments=%d, sum(q)=%.4f "
+        "\nCorollary 5.4 (c = max size = %d): segments=%lld, sum(q)=%.4f "
         "< 1\n",
-        bounded.value().c, bounded.value().ti.num_facts(),
+        bounded.value().c,
+        static_cast<long long>(bounded.value().ti.num_facts()),
         bounded.value().marginal_sum);
   }
 

@@ -15,7 +15,8 @@
 //               emits, so the recorded row survives; ci.sh still writes
 //               its fresh run elsewhere and reads both files;
 //  * re-query — after UpdateProbability, a PreparedQuery re-answer
-//               (re-read marginals + circuit re-evaluation) is ≥10×
+//               (the held circuit re-evaluated on its literals'
+//               marginals) is ≥10×
 //               faster than the cold ground + compile + evaluate
 //               pipeline on the same store.
 //
@@ -269,8 +270,8 @@ void BM_IncrementalRequery(benchmark::State& state) {
   const rel::Fact touched(0, {rel::Value::Int(1)});
   double flip = 0.25;
   for (auto _ : state) {
-    // Incremental: a marginal changed, the circuit survives — re-read
-    // the probability columns and re-evaluate.
+    // Incremental: a marginal changed, the circuit survives — read its
+    // literals' marginals and re-evaluate.
     flip = 0.75 - flip;  // alternate so every update really changes it
     benchmark::DoNotOptimize(store->UpdateProbability(touched, flip).ok());
     auto answer = prepared.value().Query();

@@ -4,10 +4,11 @@
 # the leg fails on it), fault injection under ASan
 # (-DIPDB_FAULT_INJECTION=ON — every registered fault site is armed in
 # turn and must unwind as a clean Status), TSan over the concurrency
-# tests, an optimized Release build (-O2 -DNDEBUG) so the arithmetic
-# kernels are exercised the way benchmarks and users run them, and a
-# Release build with -DIPDB_OBSERVABILITY=OFF so the compiled-out macro
-# expansions stay buildable. Every leg includes the knowledge-
+# tests, an optimized Release build (-O2 -DNDEBUG, -Werror) so the
+# arithmetic kernels are exercised the way benchmarks and users run them
+# and no warning lands, and a Release build with
+# -DIPDB_OBSERVABILITY=OFF so the compiled-out macro expansions stay
+# buildable. Every leg includes the knowledge-
 # compilation tests (kc_test, kc_property_test); the Release legs
 # additionally gate one-shot compile + evaluate against closed forms
 # (1e-9), the lifted safe-plan rung (1e-9 parity with the circuit rung
@@ -162,10 +163,10 @@ echo "=== thread-sanitized build + concurrency tests ==="
 # drain-on-error batches, budget/cancellation polling from workers, the
 # sharded Monte Carlo engines, the metrics registry, the lifted rung's
 # counter/cancellation traffic (safe_plan_test, lifted_parity_test), the
-# columnar store's concurrent readers + dependent-artifact
-# registrations (storage_test), and the query service (server_test: the
-# 16-thread concurrent-serving parity run, shared PreparedQuery handles
-# racing the refresh machinery, admission + shutdown drain).
+# columnar store's concurrent readers and circuit-rung queries
+# (storage_test), and the query service (server_test: the 16-thread
+# concurrent-serving parity run, shared PreparedQuery handles racing the
+# refresh machinery, admission + shutdown drain).
 cmake -B build-tsan -S . -DIPDB_SANITIZE="thread" >/dev/null
 cmake --build build-tsan -j"${jobs}" --target \
   parallel_test budget_test obs_test pqe_test fault_test \
@@ -173,9 +174,11 @@ cmake --build build-tsan -j"${jobs}" --target \
 ctest --test-dir build-tsan --output-on-failure -j"${jobs}" \
   -R '^(parallel_test|budget_test|obs_test|pqe_test|fault_test|safe_plan_test|lifted_parity_test|storage_test|server_test)$'
 
-echo "=== release build + tests (-O2 -DNDEBUG) ==="
+echo "=== release build + tests (-O2 -DNDEBUG, warnings are errors) ==="
+# -Werror on this leg keeps the whole tree (library, tests, benches,
+# examples) warning-free under -Wall -Wextra.
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release \
-  -DCMAKE_CXX_FLAGS_RELEASE="-O2 -DNDEBUG" >/dev/null
+  -DCMAKE_CXX_FLAGS_RELEASE="-O2 -DNDEBUG" -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build build-release -j"${jobs}"
 require_kc_tests build-release
 ctest --test-dir build-release --output-on-failure -j"${jobs}" "$@"
@@ -262,9 +265,9 @@ echo "=== columnar storage gates (Release) ==="
 #    timed a grounder, since deleted, that materialized a std::map over
 #    the whole instance per call, and comes from the last Release
 #    storage_bench run that still had it. Both rows are in ms;
-#  * after UpdateProbability, a PreparedQuery re-answer (re-read the
-#    probability column, re-evaluate the cached circuit) is >= 10x
-#    faster than the cold ground + compile + evaluate pipeline.
+#  * after UpdateProbability, a PreparedQuery re-answer (re-evaluate the
+#    held circuit on its literals' marginals) is >= 10x faster than the
+#    cold ground + compile + evaluate pipeline.
 storage_json="build-release/BENCH_storage.json"
 rm -f "${storage_json}"
 (cd build-release && ./bench/storage_bench \

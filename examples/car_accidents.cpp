@@ -71,9 +71,9 @@ int main() {
   auto built = core::BuildBidToTi(small);
   auto tv = core::VerifyBidToTi(small, built.value());
   std::printf(
-      "\nLemma 5.7 on the truncated table: %d augmented TI facts, "
+      "\nLemma 5.7 on the truncated table: %lld augmented TI facts, "
       "TV to the original = %.3g\n",
-      built.value().ti.num_facts(), tv.value());
+      static_cast<long long>(built.value().ti.num_facts()), tv.value());
   std::printf(
       "Corollary 5.4 applies too: instance size is bounded by the number "
       "of countries (%zu), so the full infinite table is in FO(TI).\n",

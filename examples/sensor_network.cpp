@@ -76,9 +76,9 @@ int main() {
       logic::ParseSentence("!(exists s. Reading(s, 18))", schema).value();
   auto conditioned = pdb::Condition(expanded, constraint);
   std::printf(
-      "\nafter conditioning on 'no 18-degree readings' (%d worlds "
+      "\nafter conditioning on 'no 18-degree readings' (%lld worlds "
       "remain):\n",
-      conditioned.value().num_worlds());
+      static_cast<long long>(conditioned.value().num_worlds()));
   rel::Fact probe = reading(0, 19);
   std::printf("  marginal of Reading(0, 19): %.4f -> %.4f\n",
               expanded.Marginal(probe),

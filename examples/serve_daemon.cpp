@@ -3,8 +3,8 @@
 // gracefully and prints the final metrics snapshot.
 //
 //   $ ./serve_daemon 7432 &
-//   $ printf 'QUERY demo social exists x y. Friend(x, y) & Active(x)\nQUIT\n' \
-//       | nc localhost 7432
+//   $ printf 'QUERY demo social exists x y. Friend(x, y) & Active(x)\nQUIT\n' |
+//       nc localhost 7432
 //   $ kill -INT %1        # drains in-flight queries, flushes metrics
 //
 //   $ ./serve_daemon --demo

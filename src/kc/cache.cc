@@ -44,8 +44,7 @@ void CompiledQueryCache::PublishGaugesLocked() {
   IPDB_OBS_GAUGE_SET("kc.artifact_cache.bytes", approx_bytes_);
 }
 
-void CompiledQueryCache::EvictLocked(std::list<Entry>::iterator it,
-                                     bool invalidation) {
+void CompiledQueryCache::EvictLocked(std::list<Entry>::iterator it) {
   CacheOwnerStats& stats = owners_[it->owner];
   stats.entries -= 1;
   stats.bytes -= it->bytes;
@@ -55,14 +54,13 @@ void CompiledQueryCache::EvictLocked(std::list<Entry>::iterator it,
   lru_.erase(it);
   evictions_.fetch_add(1, std::memory_order_relaxed);
   IPDB_OBS_COUNT("kc.artifact_cache.evictions", 1);
-  if (invalidation) IPDB_OBS_COUNT("kc.artifact_cache.invalidations", 1);
 }
 
 bool CompiledQueryCache::EvictOwnerLruLocked(CacheOwner owner) {
   for (auto it = lru_.end(); it != lru_.begin();) {
     --it;
     if (it->owner == owner) {
-      EvictLocked(it, /*invalidation=*/false);
+      EvictLocked(it);
       return true;
     }
   }
@@ -92,7 +90,7 @@ void CompiledQueryCache::EvictForCapacityLocked() {
       EvictOwnerLruLocked(heaviest)) {
     return;
   }
-  EvictLocked(std::prev(lru_.end()), /*invalidation=*/false);
+  EvictLocked(std::prev(lru_.end()));
 }
 
 StatusOr<std::shared_ptr<const CompiledQuery>>
@@ -168,14 +166,9 @@ bool CompiledQueryCache::EraseFingerprint(uint64_t hi, uint64_t lo) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = index_.find(Key{hi, lo});
   if (it == index_.end()) return false;
-  EvictLocked(it->second, /*invalidation=*/true);
+  EvictLocked(it->second);
   PublishGaugesLocked();
   return true;
-}
-
-bool CompiledQueryCache::ContainsFingerprint(uint64_t hi, uint64_t lo) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return index_.find(Key{hi, lo}) != index_.end();
 }
 
 void CompiledQueryCache::Clear() {

@@ -52,11 +52,16 @@ class ScopedCacheOwner {
 CacheOwner CurrentCacheOwner();
 
 /// An LRU cache of compiled d-DNNF artifacts keyed by the 128-bit
-/// structural lineage fingerprint. Repeated queries whose grounding
-/// yields a structurally identical lineage — the same query re-asked
-/// with updated marginals, or per-tuple lineages that are isomorphic
-/// across a candidate grid — skip compilation entirely and go straight
-/// to circuit-linear evaluation. Thread-safe: pqe::RankedAnswers and
+/// lineage fingerprint (LineageFingerprint), which covers the formula's
+/// structure and each variable's global fact index. A query whose
+/// grounding yields the same lineage — the same query re-asked with
+/// updated marginals, or grounded again after Insert/Erase left its
+/// facts' numbers alone — skips compilation and goes straight to
+/// circuit-linear evaluation. Lineages that are isomorphic but range
+/// over different facts get different keys. Because a circuit is a
+/// function of its lineage and evaluation reads the marginals, nothing
+/// here goes stale when a store mutates; old entries age out under the
+/// LRU and the per-owner caps. Thread-safe: pqe::RankedAnswers and
 /// friends call into it from worker threads.
 class CompiledQueryCache {
  public:
@@ -78,16 +83,10 @@ class CompiledQueryCache {
       const CompileOptions& options = {});
 
   /// Drops the artifact with the given 128-bit lineage fingerprint, if
-  /// resident; true when something was erased. This is the incremental-
-  /// invalidation hook: a storage::TiStore whose fact set mutates hands
-  /// the fingerprints of dependent artifacts here (via the store's
-  /// artifact evictor), so only circuits grounded against the stale fact
-  /// layout are recompiled — the rest of the cache survives data churn.
+  /// resident; true when something was erased. The library itself never
+  /// calls it: it stays for perfbench's ingest_refresh replay, which drops
+  /// its keys after each structural batch.
   bool EraseFingerprint(uint64_t hi, uint64_t lo);
-
-  /// True when an artifact with this fingerprint is resident (does not
-  /// touch LRU order; for tests and introspection).
-  bool ContainsFingerprint(uint64_t hi, uint64_t lo) const;
 
   void Clear();
   size_t size() const;
@@ -153,9 +152,7 @@ class CompiledQueryCache {
   };
 
   /// Removes one entry, updating global and per-owner accounting.
-  /// `invalidation` distinguishes fingerprint invalidations from
-  /// capacity evictions in the registry counters.
-  void EvictLocked(std::list<Entry>::iterator it, bool invalidation);
+  void EvictLocked(std::list<Entry>::iterator it);
   /// Evicts `owner`'s least-recently-used entry; false when the owner
   /// has no resident entries.
   bool EvictOwnerLruLocked(CacheOwner owner);

@@ -302,7 +302,6 @@ StatusOr<CompiledQuery> CompileLineage(pqe::Lineage* lineage,
            << "d-DNNF compilation aborted";
   }
   compiled.circuit = compiler.TakeCircuit();
-  compiled.num_variables = compiled.circuit.num_variables();
   compiled.stats.circuit_nodes = compiled.circuit.size();
   compiled.stats.circuit_edges = compiled.circuit.num_edges();
   if (options.verify) {

@@ -61,12 +61,9 @@ struct CompileOptions {
 };
 
 /// A compiled lineage: the circuit, its root, and how it was built.
-/// `num_variables` is the minimum probability-vector length accepted by
-/// the evaluators.
 struct CompiledQuery {
   Circuit circuit;
   NodeId root = Circuit::kFalseId;
-  int num_variables = 0;
   CompileStats stats;
 };
 
@@ -76,10 +73,11 @@ StatusOr<CompiledQuery> CompileLineage(pqe::Lineage* lineage,
                                        pqe::NodeId root,
                                        const CompileOptions& options = {});
 
-/// A 128-bit structural fingerprint of the formula DAG under `root`:
-/// equal for structurally identical formulas across different Lineage
-/// objects (grounding the same query against the same fact layout twice
-/// yields the same fingerprint). Keys the compiled-artifact cache.
+/// A 128-bit structural fingerprint of the formula DAG under `root`,
+/// mixing in each variable's index: equal for structurally identical
+/// formulas over the same variables across different Lineage objects
+/// (grounding the same query against the same fact layout twice yields
+/// the same fingerprint). Keys the compiled-artifact cache.
 std::pair<uint64_t, uint64_t> LineageFingerprint(const pqe::Lineage& lineage,
                                                  pqe::NodeId root);
 

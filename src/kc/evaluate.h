@@ -1,6 +1,7 @@
 #ifndef IPDB_KC_EVALUATE_H_
 #define IPDB_KC_EVALUATE_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "kc/circuit.h"
@@ -66,7 +67,10 @@ StatusOr<math::Rational> EvaluateCircuitExact(
     const ExecutionBudget* budget = nullptr);
 
 /// The weighted model count of the circuit under `probs` (marginal of
-/// variable v at index v). Requires probs.size() >= num_variables().
+/// variable v at probs[v]): a std::vector<T>, or any type with size()
+/// and operator[] that reads marginals where they live; only the
+/// circuit's literal variables are read. Requires probs.size() >=
+/// num_variables().
 /// Correct only on valid d-DNNF circuits (see the Check* methods); the
 /// compiler guarantees validity by construction.
 ///
@@ -74,14 +78,14 @@ StatusOr<math::Rational> EvaluateCircuitExact(
 /// governed caller's deadline/cancel token is polled amortized during
 /// long evaluations; a tripped meter aborts with its error. Null keeps
 /// the loop exactly as cheap as before (one pointer test per node).
-template <typename T>
+template <typename T, typename Probs = std::vector<T>>
 StatusOr<T> EvaluateCircuit(const Circuit& circuit, NodeId root,
-                            const std::vector<T>& probs,
+                            const Probs& probs,
                             BudgetMeter* meter = nullptr) {
   if (root < 0 || root >= circuit.size()) {
     return InvalidArgumentError("circuit root out of range");
   }
-  if (static_cast<int>(probs.size()) < circuit.num_variables()) {
+  if (static_cast<int64_t>(probs.size()) < circuit.num_variables()) {
     return InvalidArgumentError(
         "probability vector shorter than the circuit's variable count");
   }

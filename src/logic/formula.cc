@@ -16,6 +16,9 @@ namespace internal_formula {
 using internal_formula::Node;
 
 Formula MakeFormula(Node node) {
+  for (const Formula& child : node.children) {
+    node.depth = std::max(node.depth, child.depth() + 1);
+  }
   return Formula(std::make_shared<const Node>(std::move(node)));
 }
 

@@ -43,6 +43,7 @@ struct Node {
   std::vector<Formula> children;
   // kExists/kForall:
   std::string quantified_var;
+  int depth = 1;  // nodes on the longest path down to a leaf
 };
 
 }  // namespace internal_formula
@@ -83,6 +84,10 @@ class Formula {
 
   /// Quantifier rank (maximum nesting depth of quantifiers).
   int QuantifierRank() const;
+
+  /// Nodes on the longest path from the root down to a leaf (1 for an
+  /// atom); kept in each node, so reading it costs nothing.
+  int depth() const { return node_->depth; }
 
   /// Number of AST nodes.
   int Size() const;

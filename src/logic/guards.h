@@ -10,6 +10,7 @@
 #include "logic/formula.h"
 #include "relational/schema.h"
 #include "relational/value.h"
+#include "util/inline_vector.h"
 
 namespace ipdb {
 namespace logic {
@@ -212,16 +213,20 @@ class GuardReader {
   }
 
  private:
+  /// An atom plan's key: the value each position is matched against,
+  /// whether it is fixed, and how many leading positions are. Atoms of
+  /// arity up to kInlineArity keep it inline, so reading a plan
+  /// allocates nothing.
+  static constexpr size_t kInlineArity = 8;
   struct Key {
-    std::vector<Value> values;
-    std::vector<bool> fixed;
+    explicit Key(size_t arity) : values(arity), fixed(arity) {}
+    InlineVector<Value, kInlineArity> values;
+    InlineVector<uint8_t, kInlineArity> fixed;
     int prefix = 0;  // leading fixed positions
   };
 
   Key MakeKey(const GuardedFormula::Plan& p) const {
-    Key key;
-    key.values.resize(p.positions.size());
-    key.fixed.resize(p.positions.size(), false);
+    Key key(p.positions.size());
     bool leading = true;
     for (size_t i = 0; i < p.positions.size(); ++i) {
       const GuardedFormula::Position& position = p.positions[i];

@@ -193,6 +193,35 @@ class Parser {
                                 std::to_string(Peek().position));
   }
 
+  // Nesting is bounded twice over: each construct that recurses before
+  // its formula exists ('(', '!', a quantified variable, the right side
+  // of '->') is counted in open_ before the recursion, and each formula
+  // built is checked against its depth(), which also catches the long
+  // left-nested chains that '&', '|' and '<->' build in a loop. Hostile
+  // input is refused before it can exhaust the stack.
+  Status TooDeep() const {
+    return Error("formula nests deeper than " +
+                 std::to_string(kMaxFormulaDepth) + " levels");
+  }
+
+  /// `parse()` run `levels` constructs deeper. The count is not restored
+  /// on failure, which ends the whole parse anyway.
+  template <typename Parse>
+  StatusOr<Formula> Nested(size_t levels, Parse parse) {
+    if (levels > static_cast<size_t>(kMaxFormulaDepth - open_)) {
+      return TooDeep();
+    }
+    open_ += static_cast<int>(levels);
+    StatusOr<Formula> formula = parse();
+    open_ -= static_cast<int>(levels);
+    return formula;
+  }
+
+  StatusOr<Formula> Bounded(Formula formula) const {
+    if (formula.depth() > kMaxFormulaDepth) return TooDeep();
+    return formula;
+  }
+
   StatusOr<Formula> ParseIff() {
     StatusOr<Formula> lhs = ParseImplies();
     if (!lhs.ok()) return lhs;
@@ -201,6 +230,7 @@ class Parser {
       StatusOr<Formula> rhs = ParseImplies();
       if (!rhs.ok()) return rhs;
       result = Iff(std::move(result), std::move(rhs).value());
+      if (result.depth() > kMaxFormulaDepth) return TooDeep();
     }
     return result;
   }
@@ -209,9 +239,10 @@ class Parser {
     StatusOr<Formula> lhs = ParseOr();
     if (!lhs.ok()) return lhs;
     if (Accept(TokenKind::kImplies)) {
-      StatusOr<Formula> rhs = ParseImplies();  // right associative
+      // Right associative.
+      StatusOr<Formula> rhs = Nested(1, [this] { return ParseImplies(); });
       if (!rhs.ok()) return rhs;
-      return Implies(std::move(lhs).value(), std::move(rhs).value());
+      return Bounded(Implies(std::move(lhs).value(), std::move(rhs).value()));
     }
     return lhs;
   }
@@ -224,6 +255,7 @@ class Parser {
       StatusOr<Formula> rhs = ParseAnd();
       if (!rhs.ok()) return rhs;
       result = Or(std::move(result), std::move(rhs).value());
+      if (result.depth() > kMaxFormulaDepth) return TooDeep();
     }
     return result;
   }
@@ -236,15 +268,16 @@ class Parser {
       StatusOr<Formula> rhs = ParseUnary();
       if (!rhs.ok()) return rhs;
       result = And(std::move(result), std::move(rhs).value());
+      if (result.depth() > kMaxFormulaDepth) return TooDeep();
     }
     return result;
   }
 
   StatusOr<Formula> ParseUnary() {
     if (Accept(TokenKind::kNot)) {
-      StatusOr<Formula> operand = ParseUnary();
+      StatusOr<Formula> operand = Nested(1, [this] { return ParseUnary(); });
       if (!operand.ok()) return operand;
-      return Not(std::move(operand).value());
+      return Bounded(Not(std::move(operand).value()));
     }
     if (Peek().kind == TokenKind::kIdent &&
         (Peek().text == "exists" || Peek().text == "forall")) {
@@ -257,17 +290,18 @@ class Parser {
         if (Accept(TokenKind::kDot)) break;
       }
       if (vars.empty()) return Error("quantifier without variables");
-      StatusOr<Formula> body = ParseIff();
+      StatusOr<Formula> body =
+          Nested(vars.size(), [this] { return ParseIff(); });
       if (!body.ok()) return body;
-      return is_exists ? ExistsAll(vars, std::move(body).value())
-                       : ForallAll(vars, std::move(body).value());
+      return Bounded(is_exists ? ExistsAll(vars, std::move(body).value())
+                               : ForallAll(vars, std::move(body).value()));
     }
     return ParsePrimary();
   }
 
   StatusOr<Formula> ParsePrimary() {
     if (Accept(TokenKind::kLParen)) {
-      StatusOr<Formula> inner = ParseIff();
+      StatusOr<Formula> inner = Nested(1, [this] { return ParseIff(); });
       if (!inner.ok()) return inner;
       if (!Accept(TokenKind::kRParen)) return Error("expected ')'");
       return inner;
@@ -352,6 +386,7 @@ class Parser {
   std::vector<Token> tokens_;
   const rel::Schema& schema_;
   size_t index_ = 0;
+  int open_ = 0;  // constructs entered whose formula is not built yet
 };
 
 }  // namespace

@@ -33,9 +33,17 @@ namespace logic {
 /// as relation names must exist in the schema; all other identifiers in
 /// term position denote variables.
 ///
+/// A formula nests at most kMaxFormulaDepth levels: its depth() and the
+/// parentheses, negations, quantified variables and implications open at
+/// any point of the input each stay within it, and deeper input is
+/// kInvalidArgument. The bound keeps parsing, and every pass that
+/// recurses over the parsed formula, far from the stack limit.
+///
 /// Examples:
 ///   "exists x. R(x, 7) & !S(x)"
 ///   "forall i. exists j. Edge(i, j) -> i = j"
+inline constexpr int kMaxFormulaDepth = 256;
+
 StatusOr<Formula> ParseFormula(const std::string& text,
                                const rel::Schema& schema);
 

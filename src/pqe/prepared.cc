@@ -2,9 +2,8 @@
 
 #include <utility>
 
-#include "kc/cache.h"
-#include "kc/evaluate.h"
 #include "obs/obs.h"
+#include "pqe/wmc.h"
 
 namespace ipdb {
 namespace pqe {
@@ -38,11 +37,6 @@ StatusOr<PreparedQuery> PreparedQuery::Prepare(
     }
   }
 
-  // Structural mutations on this store must reach the global artifact
-  // cache; installing the evictor is idempotent.
-  prepared.store_->SetArtifactEvictor([](uint64_t hi, uint64_t lo) {
-    kc::GlobalCompiledQueryCache().EraseFingerprint(hi, lo);
-  });
   Status cold = prepared.Rebuild();
   if (!cold.ok()) return cold;
   return prepared;
@@ -50,40 +44,19 @@ StatusOr<PreparedQuery> PreparedQuery::Prepare(
 
 Status PreparedQuery::Rebuild() {
   IPDB_OBS_SPAN("pqe.prepared.rebuild", "pqe");
-  lineage_ = std::make_unique<Lineage>();
-  StatusOr<NodeId> root =
-      GroundSentence(*store_, sentence_, lineage_.get(), options_.budget);
-  if (!root.ok()) return root.status();
-
-  kc::CompileOptions compile_options;
-  compile_options.budget = options_.budget;
-  StatusOr<std::shared_ptr<const kc::CompiledQuery>> compiled =
-      kc::GlobalCompiledQueryCache().GetOrCompile(
-          lineage_.get(), root.value(), nullptr, compile_options);
-  if (!compiled.ok()) return compiled.status();
-  artifact_ = std::move(compiled).value();
-  fingerprint_ = kc::LineageFingerprint(*lineage_, root.value());
-  store_->RegisterDependentArtifact(fingerprint_.first, fingerprint_.second);
-
-  // Snapshot the generations *before* reading the columns: a mutation
-  // racing this read makes the next Query() refresh again rather than
-  // serve a stale answer.
-  structure_generation_ = store_->structure_generation();
-  probability_generation_ = store_->probability_generation();
-  return Refresh();
-}
-
-Status PreparedQuery::Refresh() {
-  const int64_t n = store_->num_facts();
-  probs_.clear();
-  probs_.reserve(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) probs_.push_back(store_->ProbAt(i));
-  BudgetMeter meter(options_.budget, 0, "pqe.prepared");
-  StatusOr<double> probability = kc::EvaluateCircuit<double>(
-      artifact_->circuit, artifact_->root, probs_,
-      options_.budget != nullptr ? &meter : nullptr);
-  if (!probability.ok()) return probability.status();
-  answer_ = probability.value();
+  // Snapshot the generations *before* grounding: a mutation racing the
+  // rebuild makes the next Query() rebuild or refresh again rather than
+  // serve a stale answer. They are kept only once the rebuild succeeds,
+  // so a failed one is retried.
+  const uint64_t structure = store_->structure_generation();
+  const uint64_t probability = store_->probability_generation();
+  StatusOr<CircuitAnswer> circuit =
+      GroundCompileEvaluate(*store_, sentence_, options_.budget);
+  if (!circuit.ok()) return circuit.status();
+  artifact_ = std::move(circuit.value().artifact);
+  answer_ = circuit.value().probability;
+  structure_generation_ = structure;
+  probability_generation_ = probability;
   return Status::Ok();
 }
 
@@ -96,23 +69,24 @@ StatusOr<double> PreparedQuery::Query() {
     lifted_options.budget = options_.budget;
     return plan_->Evaluate(*store_, lifted_options);
   }
-  // Circuit mode mutates the memoized answer/marginals on refresh, so
-  // concurrent callers serialize; whoever wins the lock performs the
-  // refresh and the rest see the already-current answer.
+  // Circuit mode mutates the memoized answer on refresh, so concurrent
+  // callers serialize; whoever wins the lock performs the refresh and
+  // the rest see the already-current answer.
   std::lock_guard<std::mutex> lock(*mu_);
-  const uint64_t structure = store_->structure_generation();
-  if (structure != structure_generation_) {
-    Status cold = Rebuild();
-    if (!cold.ok()) return cold;
-    ++recompiles_;
-    IPDB_OBS_COUNT("pqe.prepared.recompiles", 1);
+  if (store_->structure_generation() != structure_generation_) {
+    Status rebuilt = Rebuild();
+    if (!rebuilt.ok()) return rebuilt;
+    ++rebuilds_;
+    IPDB_OBS_COUNT("pqe.prepared.rebuilds", 1);
     return answer_;
   }
   const uint64_t probability = store_->probability_generation();
   if (probability != probability_generation_) {
+    StatusOr<double> refreshed =
+        EvaluateOnStore(*artifact_, *store_, options_.budget);
+    if (!refreshed.ok()) return refreshed.status();
+    answer_ = refreshed.value();
     probability_generation_ = probability;
-    Status refreshed = Refresh();
-    if (!refreshed.ok()) return refreshed;
     ++incremental_refreshes_;
     IPDB_OBS_COUNT("pqe.prepared.incremental_refreshes", 1);
     return answer_;

@@ -4,12 +4,9 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <utility>
-#include <vector>
 
 #include "kc/compile.h"
 #include "logic/formula.h"
-#include "pqe/lineage.h"
 #include "pqe/safe_plan.h"
 #include "storage/ti_store.h"
 #include "util/budget.h"
@@ -20,28 +17,28 @@ namespace pqe {
 
 /// A query prepared against a *live* columnar store: the
 /// compile-once / re-query-many contract made incremental. Prepare()
-/// runs the cold pipeline once (safe plan, or ground + compile through
-/// the global artifact cache); Query() then reacts to the store's
+/// runs the cold pipeline once (safe plan, or QueryProbability's circuit
+/// rung, GroundCompileEvaluate); Query() then reacts to the store's
 /// generation counters instead of redoing work:
 ///
 ///  * untouched store            — the memoized answer is returned;
-///  * UpdateProbability happened — marginals are re-read from the
-///    columns and the *cached circuit* is re-evaluated (the lineage
-///    fingerprint is unchanged, so no re-ground and no recompile: this
-///    is the ≥10×-cheaper incremental path the storage bench gates);
-///  * Insert/Erase happened      — the fact set changed, so the old
-///    fingerprint was evicted from the artifact cache (the store's
-///    dependent-artifact registry fires) and Query() re-grounds and
-///    recompiles cold.
+///  * UpdateProbability happened — the *held circuit* is re-evaluated on
+///    the marginals of its literal variables (EvaluateOnStore: no
+///    re-ground, no cache probe, O(circuit) rather than O(num_facts());
+///    this is the ≥10×-cheaper incremental path the storage bench
+///    gates);
+///  * Insert/Erase happened      — global fact indices may have shifted,
+///    so Query() grounds again and probes the artifact cache with the new
+///    lineage. A lineage whose facts kept their numbers is unchanged and
+///    hits; one over renumbered or different facts misses and compiles.
 ///
-/// Preparing a query also wires the store's artifact evictor to
-/// kc::GlobalCompiledQueryCache() and registers the compiled
-/// fingerprint as a structural dependent — the storage layer stays
-/// free of a kc dependency, the pqe layer closes the loop.
+/// A circuit is a function of its lineage over fact indices, and every
+/// evaluation reads the current marginals, so the cache needs no
+/// invalidation when the store mutates.
 ///
 /// Thread model: Query() and the counter accessors are safe for any
 /// number of concurrent callers on one handle — handles may be shared
-/// across threads, so refreshes and recompiles are serialized by an
+/// across threads, so refreshes and rebuilds are serialized by an
 /// internal mutex (safe-plan answers take no lock:
 /// the plan is immutable after Prepare). Store *mutations* remain
 /// single-writer per the TiStore contract; concurrency here means many
@@ -70,31 +67,25 @@ class PreparedQuery {
 
   /// True when the safe-plan engine answers this query.
   bool lifted() const { return plan_ != nullptr; }
-  /// Cold re-ground + recompile passes triggered by structural
-  /// mutations (the Prepare-time pass is not counted).
-  int64_t recompiles() const {
+  /// Re-ground passes triggered by structural mutations (the
+  /// Prepare-time pass is not counted). Each probes the artifact cache,
+  /// so a rebuild compiles only when its lineage changed.
+  int64_t rebuilds() const {
     std::lock_guard<std::mutex> lock(*mu_);
-    return recompiles_;
+    return rebuilds_;
   }
-  /// Probability-only refreshes that reused the compiled circuit.
+  /// Probability-only refreshes that reused the held circuit.
   int64_t incremental_refreshes() const {
     std::lock_guard<std::mutex> lock(*mu_);
     return incremental_refreshes_;
-  }
-  /// The compiled artifact's lineage fingerprint (circuit mode only).
-  std::pair<uint64_t, uint64_t> fingerprint() const {
-    std::lock_guard<std::mutex> lock(*mu_);
-    return fingerprint_;
   }
 
  private:
   PreparedQuery() = default;
 
-  /// Ground + compile + register + evaluate (the cold path). Caller
-  /// holds mu_ (except during Prepare, before the handle is shared).
+  /// Ground + probe/compile + evaluate (the cold path). Caller holds mu_
+  /// (except during Prepare, before the handle is shared).
   Status Rebuild();
-  /// Re-read marginals and re-evaluate the cached circuit (mu_ held).
-  Status Refresh();
 
   std::shared_ptr<const storage::TiStore> store_;
   logic::Formula sentence_;
@@ -109,14 +100,11 @@ class PreparedQuery {
   std::unique_ptr<LiftedPlan> plan_;
 
   // Circuit mode.
-  std::unique_ptr<Lineage> lineage_;
   std::shared_ptr<const kc::CompiledQuery> artifact_;
-  std::pair<uint64_t, uint64_t> fingerprint_{0, 0};
-  std::vector<double> probs_;
   uint64_t structure_generation_ = 0;
   uint64_t probability_generation_ = 0;
   double answer_ = 0.0;
-  int64_t recompiles_ = 0;
+  int64_t rebuilds_ = 0;
   int64_t incremental_refreshes_ = 0;
 };
 

@@ -51,6 +51,15 @@ WmcStats TraceOf(const kc::CompileStats& trace) {
                   0};
 }
 
+/// A store's marginals indexed by fact, as kc::EvaluateCircuit reads a
+/// probability vector: each literal's marginal is read where it lives,
+/// and nothing is copied.
+struct StoreMarginals {
+  const storage::TiStore& store;
+  int64_t size() const { return store.num_facts(); }
+  double operator[](int fact) const { return store.ProbAt(fact); }
+};
+
 }  // namespace
 
 StatusOr<double> ComputeProbability(Lineage* lineage, NodeId root,
@@ -88,6 +97,57 @@ StatusOr<double> ComputeProbability(Lineage* lineage, NodeId root,
   IPDB_OBS_COUNT("pqe.wmc.solves", 1);
   ReportWmcStats(TraceOf(compiled.value().stats), stats);
   return probability;
+}
+
+StatusOr<CircuitAnswer> GroundCompileEvaluate(const storage::TiStore& store,
+                                              const logic::Formula& sentence,
+                                              const ExecutionBudget* budget) {
+  if (budget != nullptr && budget->unlimited()) budget = nullptr;
+  std::optional<Lineage> lineage(std::in_place);
+  NodeId root = -1;
+  {
+    IPDB_OBS_SPAN("pqe.ground", "pqe");
+    IPDB_FAULT_POINT("pqe.ground");
+    StatusOr<NodeId> grounded =
+        GroundSentence(store, sentence, &*lineage, budget);
+    if (!grounded.ok()) return grounded.status();
+    root = grounded.value();
+  }
+  if (budget != nullptr) IPDB_RETURN_IF_ERROR(budget->CheckTime("pqe.query"));
+  // Compile-once / evaluate-many: a query whose lineage is unchanged
+  // (re-asked, or re-grounded after a mutation that kept its facts'
+  // numbers) reuses the compiled artifact and pays only a circuit-linear
+  // evaluation.
+  CircuitAnswer answer;
+  {
+    IPDB_OBS_SPAN("pqe.cache_probe", "pqe");
+    kc::CompileOptions compile_options;
+    compile_options.budget = budget;
+    StatusOr<std::shared_ptr<const kc::CompiledQuery>> compiled =
+        kc::GlobalCompiledQueryCache().GetOrCompile(
+            &*lineage, root, &answer.cache_hit, compile_options);
+    // The artifact is all the rest of the query needs: free the lineage
+    // inside this phase, so the phases account for the time.
+    lineage.reset();
+    if (!compiled.ok()) return compiled.status();
+    answer.artifact = std::move(compiled).value();
+  }
+  StatusOr<double> probability =
+      EvaluateOnStore(*answer.artifact, store, budget);
+  if (!probability.ok()) return probability.status();
+  answer.probability = probability.value();
+  return answer;
+}
+
+StatusOr<double> EvaluateOnStore(const kc::CompiledQuery& artifact,
+                                 const storage::TiStore& store,
+                                 const ExecutionBudget* budget) {
+  IPDB_OBS_SPAN("pqe.evaluate", "pqe");
+  if (budget != nullptr && budget->unlimited()) budget = nullptr;
+  BudgetMeter meter(budget, 0, "pqe.evaluate");
+  return kc::EvaluateCircuit<double>(artifact.circuit, artifact.root,
+                                     StoreMarginals{store},
+                                     budget != nullptr ? &meter : nullptr);
 }
 
 StatusOr<double> QueryProbability(const pdb::TiPdb<double>& ti,
@@ -170,81 +230,32 @@ StatusOr<QueryAnswer> QueryProbability(const pdb::TiPdb<double>& ti,
     }
   }
 
-  // Exact rung: ground and compile (budget-governed) through the
-  // artifact cache, then evaluate (deadline polled per circuit node).
-  // Budget errors fall through to the degraded rung; everything else
+  // Exact rung: the circuit rung, budget-governed in every phase. Budget
+  // errors fall through to the degraded rung; everything else
   // propagates.
-  do {
-    if (skip_exact) break;
-    std::optional<Lineage> lineage(std::in_place);
-    NodeId root = -1;
-    std::vector<double> probs;
-    {
-      IPDB_OBS_SPAN("pqe.ground", "pqe");
-      IPDB_FAULT_POINT("pqe.ground");
-      const storage::TiStore& store = *ti.store();
-      StatusOr<NodeId> grounded =
-          GroundSentence(store, sentence, &*lineage, budget);
-      if (!grounded.ok()) {
-        if (!IsBudgetError(grounded.status())) return grounded.status();
-        exact_error = grounded.status();
-        break;
+  if (!skip_exact) {
+    StatusOr<CircuitAnswer> circuit =
+        GroundCompileEvaluate(*ti.store(), sentence, budget);
+    if (circuit.ok()) {
+      // Replay the compilation trace (from the artifact on a hit) so the
+      // counters describe the query's inference structure either way
+      // (the artifact-cache hit itself is counted inside
+      // kc::CompiledQueryCache).
+      ReportWmcStats(TraceOf(circuit.value().artifact->stats), stats);
+      if (stats != nullptr && circuit.value().cache_hit) {
+        ++stats->artifact_cache_hits;
       }
-      root = grounded.value();
-      const int64_t n = store.num_facts();
-      probs.reserve(static_cast<size_t>(n));
-      for (int64_t i = 0; i < n; ++i) probs.push_back(store.ProbAt(i));
+      QueryAnswer answer;
+      answer.probability = circuit.value().probability;
+      answer.half_width = 0.0;
+      answer.confidence = 1.0;
+      answer.quality = AnswerQuality::kExact;
+      IPDB_OBS_COUNT_LABELED("pqe.answers", "quality", kQualityExact, 1);
+      return answer;
     }
-    if (budget != nullptr) {
-      exact_error = budget->CheckTime("pqe.query");
-      if (!exact_error.ok()) break;
-    }
-    // Compile-once / evaluate-many: structurally identical lineages
-    // (the same query re-asked, or isomorphic per-tuple lineages) share
-    // one compiled artifact and pay only a circuit-linear evaluation.
-    bool was_hit = false;
-    std::shared_ptr<const kc::CompiledQuery> artifact;
-    {
-      IPDB_OBS_SPAN("pqe.cache_probe", "pqe");
-      kc::CompileOptions compile_options;
-      compile_options.budget = budget;
-      StatusOr<std::shared_ptr<const kc::CompiledQuery>> compiled =
-          kc::GlobalCompiledQueryCache().GetOrCompile(
-              &*lineage, root, &was_hit, compile_options);
-      // The artifact is all the rest of the query needs: free the
-      // lineage inside this phase, so the phases account for the time.
-      lineage.reset();
-      if (!compiled.ok()) {
-        if (!IsBudgetError(compiled.status())) return compiled.status();
-        exact_error = compiled.status();
-        break;
-      }
-      artifact = std::move(compiled).value();
-    }
-
-    IPDB_OBS_SPAN("pqe.evaluate", "pqe");
-    // Replay the compilation trace (from the artifact on a hit) so the
-    // counters describe the query's inference structure either way (the
-    // artifact-cache hit itself is counted inside kc::CompiledQueryCache).
-    ReportWmcStats(TraceOf(artifact->stats), stats);
-    if (stats != nullptr && was_hit) ++stats->artifact_cache_hits;
-    BudgetMeter meter(budget, 0, "pqe.evaluate");
-    StatusOr<double> probability = kc::EvaluateCircuit<double>(
-        artifact->circuit, artifact->root, probs,
-        budget != nullptr ? &meter : nullptr);
-    if (!probability.ok()) {
-      if (!IsBudgetError(probability.status())) return probability.status();
-      exact_error = probability.status();
-      break;
-    }
-    QueryAnswer answer;
-    answer.probability = probability.value();
-    answer.half_width = 0.0;
-    answer.confidence = 1.0;
-    answer.quality = AnswerQuality::kExact;
-    IPDB_OBS_COUNT_LABELED("pqe.answers", "quality", kQualityExact, 1);
-    return answer;
-  } while (false);
+    if (!IsBudgetError(circuit.status())) return circuit.status();
+    exact_error = circuit.status();
+  }
 
   // Degraded rung: a certified Monte Carlo interval over the same
   // TI-PDB. A bounded answer now beats an exact answer never — the

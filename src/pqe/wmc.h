@@ -1,11 +1,14 @@
 #ifndef IPDB_PQE_WMC_H_
 #define IPDB_PQE_WMC_H_
 
+#include <memory>
 #include <vector>
 
+#include "kc/compile.h"
 #include "logic/formula.h"
 #include "pdb/ti_pdb.h"
 #include "pqe/lineage.h"
+#include "storage/ti_store.h"
 #include "util/budget.h"
 #include "util/status.h"
 
@@ -43,6 +46,35 @@ StatusOr<double> ComputeProbability(Lineage* lineage, NodeId root,
                                     const std::vector<double>& var_probs,
                                     WmcStats* stats = nullptr,
                                     const ExecutionBudget* budget = nullptr);
+
+/// The circuit rung's answer: the compiled circuit of the query's
+/// lineage, whether the artifact cache already held it, and its
+/// probability on the store's marginals when it was evaluated.
+struct CircuitAnswer {
+  std::shared_ptr<const kc::CompiledQuery> artifact;
+  bool cache_hit = false;
+  double probability = 0.0;
+};
+
+/// The circuit rung, shared by QueryProbability's exact rung and
+/// PreparedQuery: grounds `sentence` on `store` (span pqe.ground), fetches
+/// the circuit of its lineage from kc::GlobalCompiledQueryCache(),
+/// compiling on a miss and freeing the lineage (span pqe.cache_probe), and
+/// evaluates it with EvaluateOnStore (span pqe.evaluate). The cache key is
+/// the lineage over fact indices, so a query grounded again after
+/// Insert/Erase hits whenever its facts kept their numbers. `budget`
+/// governs every phase; a trip returns its error.
+StatusOr<CircuitAnswer> GroundCompileEvaluate(const storage::TiStore& store,
+                                              const logic::Formula& sentence,
+                                              const ExecutionBudget* budget);
+
+/// The probability of `artifact`, a circuit over the fact indices of
+/// `store`, on the store's current marginals. Reads only the marginals of
+/// the circuit's literal variables, in place, so a re-evaluation after
+/// UpdateProbability costs O(circuit), not O(num_facts()).
+StatusOr<double> EvaluateOnStore(const kc::CompiledQuery& artifact,
+                                 const storage::TiStore& store,
+                                 const ExecutionBudget* budget);
 
 /// End-to-end PQE: Pr_{I ~ ti}(I ⊨ φ). Hierarchical self-join-free CQs
 /// are answered by the lifted safe-plan engine (safe_plan.h, linear-ish

@@ -187,7 +187,7 @@ StatusOr<int64_t> TiStore::Insert(const rel::Fact& fact, double prob) {
   const int64_t g = num_facts();
   row_global_[static_cast<size_t>(r)].push_back(g);
   fact_loc_.emplace_back(r, static_cast<uint32_t>(row.value()));
-  BumpStructure();
+  structure_generation_.fetch_add(1, std::memory_order_release);
   return g;
 }
 
@@ -212,7 +212,7 @@ Status TiStore::Erase(const rel::Fact& fact) {
       if (global > g) --global;
     }
   }
-  BumpStructure();
+  structure_generation_.fetch_add(1, std::memory_order_release);
   return Status::Ok();
 }
 
@@ -249,41 +249,6 @@ Status TiStore::UpdateProbabilityExact(const rel::Fact& fact,
   table.SetExact(row, prob);
   probability_generation_.fetch_add(1, std::memory_order_release);
   return Status::Ok();
-}
-
-void TiStore::BumpStructure() {
-  structure_generation_.fetch_add(1, std::memory_order_release);
-  // Dependent compiled artifacts were fingerprinted from lineages over
-  // the old fact set; hand them to the evictor outside the lock.
-  std::vector<std::pair<uint64_t, uint64_t>> stale;
-  std::function<void(uint64_t, uint64_t)> evictor;
-  {
-    std::lock_guard<std::mutex> lock(artifact_mutex_);
-    stale.swap(dependent_artifacts_);
-    evictor = artifact_evictor_;
-  }
-  if (evictor) {
-    for (const auto& [hi, lo] : stale) evictor(hi, lo);
-  }
-}
-
-void TiStore::RegisterDependentArtifact(uint64_t hi, uint64_t lo) const {
-  std::lock_guard<std::mutex> lock(artifact_mutex_);
-  for (const auto& [h, l] : dependent_artifacts_) {
-    if (h == hi && l == lo) return;
-  }
-  dependent_artifacts_.emplace_back(hi, lo);
-}
-
-void TiStore::SetArtifactEvictor(
-    std::function<void(uint64_t, uint64_t)> evictor) const {
-  std::lock_guard<std::mutex> lock(artifact_mutex_);
-  artifact_evictor_ = std::move(evictor);
-}
-
-int64_t TiStore::num_dependent_artifacts() const {
-  std::lock_guard<std::mutex> lock(artifact_mutex_);
-  return static_cast<int64_t>(dependent_artifacts_.size());
 }
 
 int64_t TiStore::ApproxBytes() const {

@@ -3,9 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -32,20 +30,19 @@ namespace storage {
 /// Two generation counters expose mutation to dependents:
 ///
 ///  * `structure_generation()` bumps on Insert/Erase — the *fact set*
-///    changed, so lineages grounded against this store (and the compiled
-///    circuits fingerprinted from them) are stale. Every fingerprint
-///    registered through `RegisterDependentArtifact` is handed to the
-///    artifact evictor and the registry is cleared.
+///    changed and global indices above an erased fact shifted down, so
+///    a lineage grounded against this store may be stale and dependents
+///    ground again. Compiled circuits need no eviction: the artifact
+///    cache keys each one on its lineage over fact indices, so a
+///    renumbered lineage gets a new key.
 ///  * `probability_generation()` bumps on UpdateProbability — the fact
-///    set (hence every lineage fingerprint) is unchanged, so compiled
-///    circuits stay valid and dependents only need to refresh marginals
-///    and re-evaluate. This asymmetry is what makes incremental re-query
-///    an order of magnitude cheaper than a cold recompile.
+///    set (hence every lineage) is unchanged, so compiled circuits stay
+///    valid and dependents only re-evaluate them on the current
+///    marginals. This asymmetry is what makes incremental re-query an
+///    order of magnitude cheaper than a cold recompile.
 ///
 /// Thread model: concurrent readers are safe against each other; the
-/// mutators are single-writer and must not race readers (the artifact
-/// registry itself is internally locked, since registration happens from
-/// query paths).
+/// mutators are single-writer and must not race readers.
 class TiStore {
  public:
   /// Accumulates facts and produces a validated store. Validation
@@ -119,16 +116,16 @@ class TiStore {
   // --- Live mutators (single-writer) -------------------------------
 
   /// Adds a fact at global index num_facts(). Structural: bumps the
-  /// structure generation and evicts dependent artifacts.
+  /// structure generation.
   StatusOr<int64_t> Insert(const rel::Fact& fact, double prob);
 
   /// Removes a fact; global indices above it shift down by one (O(n)).
-  /// Structural: bumps the structure generation and evicts dependents.
+  /// Structural: bumps the structure generation.
   Status Erase(const rel::Fact& fact);
 
   /// Replaces a fact's marginal (clearing any exact entry). Bumps only
-  /// the probability generation — lineage fingerprints and compiled
-  /// circuits remain valid.
+  /// the probability generation — lineages and compiled circuits remain
+  /// valid.
   Status UpdateProbability(const rel::Fact& fact, double prob);
   /// Exact variant: stores the double approximation plus the exact
   /// side-table entry.
@@ -141,23 +138,6 @@ class TiStore {
   uint64_t probability_generation() const {
     return probability_generation_.load(std::memory_order_acquire);
   }
-
-  // --- Dependent-artifact registry ---------------------------------
-
-  /// Records a compiled artifact's 128-bit lineage fingerprint as
-  /// depending on this store's *structure*. Const (and locked): query
-  /// paths register while holding only a const store.
-  void RegisterDependentArtifact(uint64_t hi, uint64_t lo) const;
-
-  /// Installs the callback invoked (outside the registry lock) with each
-  /// registered fingerprint when a structural mutation lands. Typically
-  /// wired to kc::CompiledQueryCache::EraseFingerprint by the pqe layer,
-  /// keeping this storage layer free of a kc dependency.
-  void SetArtifactEvictor(
-      std::function<void(uint64_t, uint64_t)> evictor) const;
-
-  /// Registered fingerprints not yet evicted (for tests/introspection).
-  int64_t num_dependent_artifacts() const;
 
   /// Estimated heap footprint: dictionary + tables + global index. The
   /// ≤48 bytes/fact budget of the 10M-fact target is measured on this.
@@ -179,8 +159,6 @@ class TiStore {
   /// fact cannot be stored).
   bool ResolveArgs(const rel::Fact& fact, uint32_t* ids) const;
 
-  void BumpStructure();
-
   rel::Schema schema_;
   Dictionary dict_;
   std::vector<ColumnTable> tables_;  // indexed by RelationId
@@ -191,10 +169,6 @@ class TiStore {
 
   std::atomic<uint64_t> structure_generation_{0};
   std::atomic<uint64_t> probability_generation_{0};
-
-  mutable std::mutex artifact_mutex_;
-  mutable std::vector<std::pair<uint64_t, uint64_t>> dependent_artifacts_;
-  mutable std::function<void(uint64_t, uint64_t)> artifact_evictor_;
 };
 
 }  // namespace storage

@@ -4,8 +4,12 @@
 
 #include <cstdint>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "logic/parser.h"
+#include "pdb/ti_pdb.h"
+#include "pqe/wmc.h"
 #include "relational/schema.h"
 
 namespace ipdb {
@@ -181,6 +185,79 @@ TEST(ParserTest, Int64BoundsParseExactly) {
   ASSERT_TRUE(min.ok()) << min.status().ToString();
   EXPECT_EQ(min.value().terms()[0],
             Term::Int(std::numeric_limits<int64_t>::min()));
+}
+
+/// Hostile nesting is refused as kInvalidArgument before it can exhaust
+/// the stack. Each shape nests 100,000 levels; the first four recurse in
+/// the parser, the last two build a deep formula in a loop.
+TEST(ParserTest, DeepNestingIsInvalidArgument) {
+  const rel::Schema schema = TestSchema();
+  constexpr int kLevels = 100000;
+  std::string quantifiers;
+  std::string implications;
+  std::string conjunction = "S(1)";
+  std::string variables = "exists";
+  for (int i = 0; i < kLevels; ++i) {
+    quantifiers += "exists x. ";
+    implications += "S(1) -> ";
+    conjunction += " & S(1)";
+    variables += " x" + std::to_string(i);
+  }
+  quantifiers += "S(x)";
+  implications += "S(1)";
+  variables += ". S(x0)";
+  const std::vector<std::string> shapes = {
+      std::string(kLevels, '(') + "S(1)" + std::string(kLevels, ')'),
+      std::string(kLevels, '!') + "S(1)",
+      quantifiers,
+      implications,
+      conjunction,
+      variables,
+  };
+  for (const std::string& text : shapes) {
+    StatusOr<Formula> parsed = ParseSentence(text, schema);
+    ASSERT_FALSE(parsed.ok()) << text.substr(0, 40);
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(parsed.status().message().find("nests deeper than"),
+              std::string::npos)
+        << parsed.status().ToString();
+  }
+}
+
+/// A formula exactly kMaxFormulaDepth levels deep parses and is answered
+/// end to end; one level more is refused.
+TEST(ParserTest, FormulaAtTheDepthLimitParsesAndIsAnswered) {
+  const rel::Schema schema = TestSchema();
+  const pdb::TiPdb<double> ti = pdb::TiPdb<double>::CreateOrDie(
+      schema, {{rel::Fact(1, {rel::Value::Int(1)}), 0.3},
+               {rel::Fact(1, {rel::Value::Int(2)}), 0.6}});
+  // `levels` deep: depth() of the first and last, open parentheses of
+  // the second.
+  const auto shapes = [](int levels) {
+    std::string disjunction = "S(1)";
+    for (int i = 1; i < levels; ++i) disjunction += " | S(2)";
+    return std::vector<std::string>{
+        std::string(levels - 1, '!') + "S(1)",
+        std::string(levels, '(') + "S(1)" + std::string(levels, ')'),
+        disjunction,
+    };
+  };
+  // kMaxFormulaDepth - 1 negations are odd, so the first is ¬S(1); the
+  // other two are S(1) and S(1) ∨ S(2).
+  const double expected[] = {0.7, 0.3, 1.0 - 0.7 * 0.4};
+  const std::vector<std::string> at_limit = shapes(kMaxFormulaDepth);
+  for (size_t i = 0; i < at_limit.size(); ++i) {
+    StatusOr<Formula> parsed = ParseSentence(at_limit[i], schema);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    StatusOr<double> answer = pqe::QueryProbability(ti, parsed.value());
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    EXPECT_NEAR(answer.value(), expected[i], 1e-12) << i;
+  }
+  for (const std::string& text : shapes(kMaxFormulaDepth + 1)) {
+    EXPECT_EQ(ParseSentence(text, schema).status().code(),
+              StatusCode::kInvalidArgument)
+        << text.substr(0, 40);
+  }
 }
 
 TEST(ParserTest, SentenceCheck) {

@@ -219,7 +219,9 @@ TEST(BigIntPropertyTest, DivModRoundTripsAndBoundsRemainder) {
     ASSERT_TRUE(BigInt::DivMod(a, b, &q, &r).ok());
     EXPECT_EQ(q * b + r, a) << a << " / " << b;
     EXPECT_LT(r.Abs(), b.Abs());
-    if (!r.is_zero()) EXPECT_EQ(r.sign(), a.sign());
+    if (!r.is_zero()) {
+      EXPECT_EQ(r.sign(), a.sign());
+    }
     EXPECT_EQ(a / b, q);
     EXPECT_EQ(a % b, r);
   }

@@ -59,6 +59,14 @@ rel::Fact FactS(int i, int j) {
 }
 rel::Fact FactT(int j) { return rel::Fact(2, {rel::Value::Int(j)}); }
 
+/// Engine options with `threads` workers and every other field at its
+/// default.
+EngineOptions WithThreads(int threads) {
+  EngineOptions options;
+  options.threads = threads;
+  return options;
+}
+
 /// A small three-relation instance: R(x), S(x, y), T(y).
 pdb::TiPdbD SmallInstance(int hubs = 4) {
   rel::Schema schema({{"R", 1}, {"S", 2}, {"T", 1}});
@@ -226,7 +234,7 @@ TEST(AdmissionTest, FallbackWindowDegradesEvenWhenIdle) {
 // Engine end-to-end
 
 TEST(EngineTest, RegistrationValidates) {
-  Engine engine(EngineOptions{/*threads=*/2, {}});
+  Engine engine(WithThreads(2));
   EXPECT_EQ(engine.RegisterInstance("", SmallInstance()).code(),
             StatusCode::kInvalidArgument);
   ASSERT_TRUE(engine.RegisterInstance("db", SmallInstance()).ok());
@@ -249,7 +257,7 @@ TEST(EngineTest, ServesWithExactParityAgainstSingleShot) {
   ASSERT_EQ(safe_truth.quality, pqe::AnswerQuality::kExact);
   ASSERT_EQ(unsafe_truth.quality, pqe::AnswerQuality::kExact);
 
-  Engine engine(EngineOptions{/*threads=*/2, {}});
+  Engine engine(WithThreads(2));
   ASSERT_TRUE(engine.RegisterInstance("db", ti).ok());
   ASSERT_TRUE(engine.RegisterTenant("acme", TenantConfig{}).ok());
 
@@ -300,7 +308,7 @@ TEST(EngineTest, ConcurrentServingExactParitySixteenThreads) {
     truth.push_back(answer.probability);
   }
 
-  Engine engine(EngineOptions{/*threads=*/4, {}});
+  Engine engine(WithThreads(4));
   ASSERT_TRUE(engine.RegisterInstance("db", ti).ok());
   ASSERT_TRUE(engine.RegisterTenant("acme", TenantConfig{}).ok());
   ASSERT_TRUE(engine.RegisterTenant("beta", TenantConfig{}).ok());
@@ -487,7 +495,7 @@ TEST(EngineTest, TenantQuotaShedsBeforeGlobalPressure) {
 
 TEST(EngineTest, TenantCacheAccountingIsExactAndCapped) {
   kc::GlobalCompiledQueryCache().Clear();
-  Engine engine(EngineOptions{/*threads=*/2, {}});
+  Engine engine(WithThreads(2));
   ASSERT_TRUE(engine.RegisterInstance("db", SmallInstance()).ok());
   // Both tenants force the circuit path; A may keep only one resident
   // artifact, B is uncapped.
@@ -574,7 +582,7 @@ TEST(EngineTest, StopDrainsInFlightRejectsNewAndFlushesMetrics) {
 #if defined(IPDB_FAULT_INJECTION)
 TEST(EngineTest, ShutdownFaultSiteUnwindsCleanlyAndStopRetries) {
   ASSERT_TRUE(fault::IsKnownSite("server.shutdown"));
-  Engine engine(EngineOptions{/*threads=*/1, {}});
+  Engine engine(WithThreads(1));
   ASSERT_TRUE(engine.RegisterInstance("db", SmallInstance()).ok());
   ASSERT_TRUE(engine.RegisterTenant("acme", TenantConfig{}).ok());
   ASSERT_TRUE(engine.Query("acme", "db", kSafeQuery).ok());
@@ -652,10 +660,10 @@ TEST(PreparedConcurrencyTest, ManyReadersRaceTheRefreshMachinery) {
                   .ok());
   race(truth());
   EXPECT_GE(handle.incremental_refreshes(), 1);
-  // Round 3: a structural mutation — readers race the cold recompile.
+  // Round 3: a structural mutation — readers race the rebuild.
   ASSERT_TRUE(store->Erase(rel::Fact(0, {rel::Value::Int(4)})).ok());
   race(truth());
-  EXPECT_GE(handle.recompiles(), 1);
+  EXPECT_GE(handle.rebuilds(), 1);
 }
 
 // ---------------------------------------------------------------------
@@ -728,7 +736,7 @@ class LineClient {
 TEST(DaemonTest, SpeaksTheLineProtocolOverLoopback) {
   pdb::TiPdbD ti = SmallInstance();
   const pqe::QueryAnswer truth = SingleShot(ti, kSafeQuery);
-  Engine engine(EngineOptions{/*threads=*/2, {}});
+  Engine engine(WithThreads(2));
   ASSERT_TRUE(engine.RegisterInstance("db", ti).ok());
   ASSERT_TRUE(engine.RegisterTenant("acme", TenantConfig{}).ok());
 
@@ -795,7 +803,7 @@ TEST(DaemonTest, SpeaksTheLineProtocolOverLoopback) {
 // once and hung up on — never buffered without bound — and the listener
 // must keep serving fresh connections afterwards.
 TEST(DaemonTest, OversizedLineGetsOneErrorThenTheConnectionCloses) {
-  Engine engine(EngineOptions{/*threads=*/1, {}});
+  Engine engine(WithThreads(1));
   ASSERT_TRUE(engine.RegisterInstance("db", SmallInstance()).ok());
   Daemon daemon(&engine);
   const Status started = daemon.Start();
@@ -815,6 +823,31 @@ TEST(DaemonTest, OversizedLineGetsOneErrorThenTheConnectionCloses) {
   LineClient after(daemon.port());
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after.RoundTrip("PING"), "PONG");
+  daemon.Stop();
+  EXPECT_TRUE(engine.Stop().ok());
+}
+
+// A 16 KB line of nested parentheses, well under the line cap, used to
+// overflow the parser's stack and take the daemon down for every tenant;
+// it is now answered as a parse error and the daemon keeps serving.
+TEST(DaemonTest, DeeplyNestedQueryIsAnErrorAndTheDaemonKeepsServing) {
+  Engine engine(WithThreads(1));
+  ASSERT_TRUE(engine.RegisterInstance("db", SmallInstance()).ok());
+  ASSERT_TRUE(engine.RegisterTenant("acme", TenantConfig{}).ok());
+  Daemon daemon(&engine);
+  const Status started = daemon.Start();
+  if (!started.ok()) {
+    GTEST_SKIP() << "no loopback sockets here: " << started.ToString();
+  }
+  LineClient client(daemon.port());
+  ASSERT_TRUE(client.ok());
+  const std::string hostile = "QUERY acme db " + std::string(8000, '(') +
+                              "true" + std::string(8000, ')');
+  ASSERT_LT(hostile.size(), Daemon::kMaxRequestLineBytes);
+  const std::string reply = client.RoundTrip(hostile);
+  EXPECT_EQ(reply.substr(0, 20), "ERR INVALID_ARGUMENT") << reply;
+  EXPECT_NE(reply.find("nests deeper"), std::string::npos) << reply;
+  EXPECT_EQ(client.RoundTrip("PING"), "PONG");
   daemon.Stop();
   EXPECT_TRUE(engine.Stop().ok());
 }
@@ -959,7 +992,7 @@ TEST(EngineTest, DurabilityDirSavesAndRestoresOnBoot) {
     EXPECT_TRUE(engine.Stop().ok());
   }
   // Durability off: the commands refuse instead of inventing a path.
-  Engine off(EngineOptions{/*threads=*/1, {}});
+  Engine off(WithThreads(1));
   ASSERT_TRUE(off.RegisterInstance("db", ti).ok());
   EXPECT_EQ(off.SaveInstance("db").code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(off.LoadInstance("other").code(),
@@ -1024,7 +1057,7 @@ TEST(DaemonTest, SaveAndLoadCommandsRoundTripAcrossEngines) {
 // serving counters moved.
 TEST(DaemonTest, MetricsCommandReturnsParseableJson) {
   pdb::TiPdbD ti = SmallInstance();
-  Engine engine(EngineOptions{/*threads=*/2, {}});
+  Engine engine(WithThreads(2));
   ASSERT_TRUE(engine.RegisterInstance("db", ti).ok());
   ASSERT_TRUE(engine.RegisterTenant("acme", TenantConfig{}).ok());
 
@@ -1072,7 +1105,7 @@ TEST(DaemonTest, MetricsCommandReturnsParseableJson) {
 // STATS returns the per-tenant rollups with the SLO state.
 TEST(DaemonTest, StatsAndTraceCommandsRoundTrip) {
   pdb::TiPdbD ti = SmallInstance();
-  Engine engine(EngineOptions{/*threads=*/2, {}});
+  Engine engine(WithThreads(2));
   ASSERT_TRUE(engine.RegisterInstance("db", ti).ok());
   // trace_sample defaults to 1.0: every request is retained for TRACE.
   ASSERT_TRUE(
@@ -1156,7 +1189,7 @@ TEST(DaemonTest, StatsAndTraceCommandsRoundTrip) {
 
 TEST(EngineTest, TraceJsonReturnsAConnectedSpanTree) {
   pdb::TiPdbD ti = SmallInstance();
-  Engine engine(EngineOptions{/*threads=*/2, {}});
+  Engine engine(WithThreads(2));
   ASSERT_TRUE(engine.RegisterInstance("db", ti).ok());
   ASSERT_TRUE(engine.RegisterTenant("acme", TenantConfig{}).ok());
 
@@ -1203,7 +1236,7 @@ TEST(EngineTest, TraceJsonReturnsAConnectedSpanTree) {
 
 TEST(EngineTest, TraceSampleZeroKeepsRequestsOutOfTheStore) {
   pdb::TiPdbD ti = SmallInstance();
-  Engine engine(EngineOptions{/*threads=*/2, {}});
+  Engine engine(WithThreads(2));
   ASSERT_TRUE(engine.RegisterInstance("db", ti).ok());
   ASSERT_TRUE(engine.RegisterTenant("quiet", "trace_sample=0").ok());
   StatusOr<QueryResult> result = engine.Query("quiet", "db", kSafeQuery);
@@ -1215,7 +1248,7 @@ TEST(EngineTest, TraceSampleZeroKeepsRequestsOutOfTheStore) {
 
 TEST(EngineTest, LabeledLatencyHistogramsSumToTheUnlabeledAggregate) {
   pdb::TiPdbD ti = SmallInstance();
-  Engine engine(EngineOptions{/*threads=*/2, {}});
+  Engine engine(WithThreads(2));
   ASSERT_TRUE(engine.RegisterInstance("db", ti).ok());
   ASSERT_TRUE(engine.RegisterTenant("alpha", TenantConfig{}).ok());
   ASSERT_TRUE(engine.RegisterTenant("beta", TenantConfig{}).ok());
@@ -1271,7 +1304,7 @@ TEST(EngineTest, LabeledLatencyHistogramsSumToTheUnlabeledAggregate) {
 
 TEST(EngineTest, StatsJsonTracksPerTenantServesAndSheds) {
   pdb::TiPdbD ti = SmallInstance();
-  Engine engine(EngineOptions{/*threads=*/2, {}});
+  Engine engine(WithThreads(2));
   ASSERT_TRUE(engine.RegisterInstance("db", ti).ok());
   ASSERT_TRUE(engine.RegisterTenant("acme", "slo_availability=0.5").ok());
   ASSERT_TRUE(engine.Query("acme", "db", kSafeQuery).ok());

@@ -3,8 +3,8 @@
 /// evaluator (with pinned fingerprints), size distributions, and lifted
 /// evaluation against exact brute force on randomized instances and
 /// queries, TiPdb views that reflect later store mutations, and the
-/// generation-counter invalidation protocol (structural mutation evicts
-/// dependent compiled artifacts; probability updates keep circuits and
+/// generation-counter protocol (structural mutation re-grounds and
+/// compiles only changed lineages; probability updates keep circuits and
 /// refresh answers).
 
 #include <gtest/gtest.h>
@@ -419,51 +419,64 @@ double BruteForceAnswer(const std::shared_ptr<TiStore>& store,
   return brute.value();
 }
 
-TEST(StorageInvalidationTest, StructuralMutationEvictsOnlyDependents) {
-  kc::GlobalCompiledQueryCache().Clear();
-  std::shared_ptr<TiStore> mutated = ChainStore(4);
-  std::shared_ptr<TiStore> untouched = ChainStore(6);
-  logic::Formula sentence = ChainQuery(mutated->schema());
+/// After Insert/Erase a prepared circuit query grounds again and probes
+/// the artifact cache with its new lineage: one over renumbered facts
+/// misses and compiles, one whose facts kept their numbers hits, and the
+/// answers match the mutated store either way.
+TEST(StorageInvalidationTest, StructuralMutationRecompilesOnlyChangedLineages) {
+  kc::CompiledQueryCache& cache = kc::GlobalCompiledQueryCache();
+  cache.Clear();
+  // R(i) is fact 2i, S(i, 1000 + i % 3) fact 2i + 1.
+  std::shared_ptr<TiStore> store = ChainStore(4);
+  const logic::Formula chain = ChainQuery(store->schema());
+  const logic::Formula low =
+      logic::ParseSentence("R(0) & !S(0, 1000) | R(1)", store->schema())
+          .value();
 
   pqe::PreparedQuery::Options options;
   options.allow_lifted = false;  // exercise the circuit pipeline
-  StatusOr<pqe::PreparedQuery> a =
-      pqe::PreparedQuery::Prepare(mutated, sentence, options);
-  StatusOr<pqe::PreparedQuery> b =
-      pqe::PreparedQuery::Prepare(untouched, sentence, options);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  auto [a_hi, a_lo] = a.value().fingerprint();
-  auto [b_hi, b_lo] = b.value().fingerprint();
-  ASSERT_NE(std::make_pair(a_hi, a_lo), std::make_pair(b_hi, b_lo));
-  EXPECT_TRUE(kc::GlobalCompiledQueryCache().ContainsFingerprint(a_hi, a_lo));
-  EXPECT_TRUE(kc::GlobalCompiledQueryCache().ContainsFingerprint(b_hi, b_lo));
+  StatusOr<pqe::PreparedQuery> all =
+      pqe::PreparedQuery::Prepare(store, chain, options);
+  StatusOr<pqe::PreparedQuery> prefix =
+      pqe::PreparedQuery::Prepare(store, low, options);
+  ASSERT_TRUE(all.ok());
+  ASSERT_TRUE(prefix.ok());
+  EXPECT_EQ(cache.misses(), 2);
 
-  // Erasing a fact is structural: the dependent artifact is evicted,
-  // the untouched store's artifact survives.
-  ASSERT_TRUE(mutated->Erase(ChainR(3)).ok());
-  EXPECT_FALSE(
-      kc::GlobalCompiledQueryCache().ContainsFingerprint(a_hi, a_lo));
-  EXPECT_TRUE(kc::GlobalCompiledQueryCache().ContainsFingerprint(b_hi, b_lo));
+  const auto requery = [&](pqe::PreparedQuery& handle,
+                           const logic::Formula& sentence, int64_t misses,
+                           const std::string& step) {
+    const int64_t before = cache.misses();
+    StatusOr<double> answer = handle.Query();
+    ASSERT_TRUE(answer.ok()) << step;
+    EXPECT_NEAR(answer.value(), BruteForceAnswer(store, sentence), 1e-12)
+        << step;
+    EXPECT_EQ(cache.misses() - before, misses) << step;
+  };
 
-  // Re-query recompiles cold and answers the mutated instance.
-  StatusOr<double> requeried = a.value().Query();
-  ASSERT_TRUE(requeried.ok());
-  EXPECT_NEAR(requeried.value(), BruteForceAnswer(mutated, sentence), 1e-9);
-  EXPECT_EQ(a.value().recompiles(), 1);
-  EXPECT_EQ(a.value().incremental_refreshes(), 0);
+  // Erasing R(3) (fact 6) moves S(3, 1000) from 7 to 6: the chain
+  // lineage changed and compiles; facts 0-2 kept their numbers, so the
+  // low lineage is the one already compiled.
+  ASSERT_TRUE(store->Erase(ChainR(3)).ok());
+  requery(all.value(), chain, 1, "after Erase");
+  requery(prefix.value(), low, 0, "after Erase");
+  EXPECT_EQ(all.value().rebuilds(), 1);
+  EXPECT_EQ(prefix.value().rebuilds(), 1);
+  EXPECT_EQ(all.value().incremental_refreshes(), 0);
 
-  // Insert is structural too.
-  ASSERT_TRUE(mutated->Insert(ChainR(40), 0.5).ok());
-  StatusOr<double> after_insert = a.value().Query();
-  ASSERT_TRUE(after_insert.ok());
-  EXPECT_NEAR(after_insert.value(), BruteForceAnswer(mutated, sentence),
-              1e-9);
-  EXPECT_EQ(a.value().recompiles(), 2);
+  // S(1, 1002) is appended as fact 7 and joins hub 1's disjunct of the
+  // chain lineage.
+  ASSERT_TRUE(store->Insert(ChainS(1, 1002), 0.5).ok());
+  requery(all.value(), chain, 1, "after Insert");
+  requery(prefix.value(), low, 0, "after Insert");
+  EXPECT_EQ(all.value().rebuilds(), 2);
+  EXPECT_EQ(prefix.value().rebuilds(), 2);
+  EXPECT_TRUE(cache.CheckAccounting().ok());
 }
 
 TEST(StorageInvalidationTest, ProbabilityUpdateKeepsCircuitRefreshesAnswer) {
-  kc::GlobalCompiledQueryCache().Clear();
+  kc::CompiledQueryCache& cache = kc::GlobalCompiledQueryCache();
+  cache.Clear();
   std::shared_ptr<TiStore> store = ChainStore(5);
   logic::Formula sentence = ChainQuery(store->schema());
   pqe::PreparedQuery::Options options;
@@ -471,20 +484,21 @@ TEST(StorageInvalidationTest, ProbabilityUpdateKeepsCircuitRefreshesAnswer) {
   StatusOr<pqe::PreparedQuery> prepared =
       pqe::PreparedQuery::Prepare(store, sentence, options);
   ASSERT_TRUE(prepared.ok());
-  auto [hi, lo] = prepared.value().fingerprint();
+  EXPECT_EQ(cache.misses(), 1);
 
   const uint64_t structure_before = store->structure_generation();
   ASSERT_TRUE(store->UpdateProbability(ChainR(2), 0.9).ok());
   EXPECT_EQ(store->structure_generation(), structure_before);
-  // The fact set (hence the fingerprint and circuit) is unchanged: the
-  // compiled artifact must SURVIVE a probability update...
-  EXPECT_TRUE(kc::GlobalCompiledQueryCache().ContainsFingerprint(hi, lo));
-  // ...while the memoized answer is refreshed from the new marginals.
+  // The fact set (hence the lineage and circuit) is unchanged: the
+  // refresh re-evaluates the held circuit on the new marginals without
+  // probing the cache, let alone compiling.
   StatusOr<double> refreshed = prepared.value().Query();
   ASSERT_TRUE(refreshed.ok());
   EXPECT_NEAR(refreshed.value(), BruteForceAnswer(store, sentence), 1e-9);
   EXPECT_EQ(prepared.value().incremental_refreshes(), 1);
-  EXPECT_EQ(prepared.value().recompiles(), 0);
+  EXPECT_EQ(prepared.value().rebuilds(), 0);
+  EXPECT_EQ(cache.misses(), 1);
+  EXPECT_EQ(cache.hits(), 0);
 
   // Untouched store: the memoized answer is served as-is.
   StatusOr<double> memoized = prepared.value().Query();
@@ -501,6 +515,108 @@ TEST(StorageInvalidationTest, ProbabilityUpdateKeepsCircuitRefreshesAnswer) {
       store->ExactAt(store->FindFact(ChainR(2)));
   ASSERT_NE(exact, nullptr);
   EXPECT_EQ(*exact, math::Rational::Ratio(1, 4));
+}
+
+/// A seeded interleaving of Insert, Erase and UpdateProbability on a
+/// store of at most 12 facts. After every step, circuit-mode prepared
+/// handles and QueryProbability's circuit rung on a view taken up front
+/// agree with brute force for a quantified query over every fact, a
+/// query with negation, and a quantifier-free query over facts 0-2,
+/// which no step erases. The last one's lineage never changes, so its
+/// rebuild after a structural step hits the artifact cache.
+TEST(StorageInvalidationTest, MutationSequenceMatchesBruteForce) {
+  kc::GlobalCompiledQueryCache().Clear();
+  rel::Schema schema({{"R", 1}, {"S", 2}});
+  TiStore::Builder builder(schema);
+  // Facts 0-2 are the quantifier-free query's and are never erased.
+  builder.Add(ChainR(0), 0.4);
+  builder.Add(ChainS(0, 1), 0.7);
+  builder.Add(ChainR(1), 0.55);
+  builder.Add(ChainS(1, 2), 0.35);
+  builder.Add(ChainR(2), 0.6);
+  builder.Add(ChainS(2, 0), 0.25);
+  StatusOr<std::shared_ptr<TiStore>> built = builder.Finish();
+  ASSERT_TRUE(built.ok());
+  std::shared_ptr<TiStore> store = built.value();
+  constexpr int64_t kKept = 3;
+  constexpr int64_t kMaxFacts = 12;
+  const StatusOr<pdb::TiPdbD> view = pdb::TiPdbD::FromStore(store);
+  ASSERT_TRUE(view.ok());
+
+  struct Standing {
+    logic::Formula sentence;
+    pqe::PreparedQuery handle;
+  };
+  std::vector<Standing> standing;
+  for (const char* text :
+       {"exists x. R(x) | exists y. S(x, y)",
+        "exists x. R(x) & !(exists y. S(x, y))",
+        "R(0) & !S(0, 1) | R(1)"}) {
+    logic::Formula sentence = logic::ParseSentence(text, schema).value();
+    pqe::PreparedQuery::Options options;
+    options.allow_lifted = false;
+    StatusOr<pqe::PreparedQuery> handle =
+        pqe::PreparedQuery::Prepare(store, sentence, options);
+    ASSERT_TRUE(handle.ok()) << text;
+    standing.push_back({std::move(sentence), std::move(handle).value()});
+  }
+  pqe::QueryOptions circuit_rung;
+  circuit_rung.lifted = false;
+
+  Pcg32 rng(0x5eb1);
+  int structural_steps = 0;
+  for (int step = 0; step < 60; ++step) {
+    const int64_t n = store->num_facts();
+    const uint32_t op = rng.NextBounded(3);
+    std::string label;
+    if (op == 0 && n < kMaxFacts) {
+      const int x = static_cast<int>(rng.NextBounded(5));
+      const rel::Fact fact = rng.NextBounded(2) == 0
+                                 ? ChainR(x)
+                                 : ChainS(x, static_cast<int>(
+                                                 rng.NextBounded(4)));
+      if (store->FindFact(fact) >= 0) continue;
+      ASSERT_TRUE(store->Insert(fact, 0.05 + 0.9 * rng.NextDouble()).ok());
+      label = "Insert " + fact.ToString(schema);
+    } else if (op == 1 && n > kKept) {
+      const int64_t g =
+          kKept + rng.NextBounded(static_cast<uint32_t>(n - kKept));
+      const rel::Fact fact = store->FactAt(g);
+      ASSERT_TRUE(store->Erase(fact).ok());
+      label = "Erase " + fact.ToString(schema);
+    } else {
+      const rel::Fact fact =
+          store->FactAt(rng.NextBounded(static_cast<uint32_t>(n)));
+      ASSERT_TRUE(
+          store->UpdateProbability(fact, 0.05 + 0.9 * rng.NextDouble()).ok());
+      label = "UpdateProbability " + fact.ToString(schema);
+    }
+    const bool structural = store->num_facts() != n;
+    structural_steps += structural;
+    label = "step " + std::to_string(step) + ": " + label;
+
+    for (size_t q = 0; q < standing.size(); ++q) {
+      const double truth =
+          pqe::QueryProbabilityBruteForce(view.value(), standing[q].sentence)
+              .value();
+      const int64_t misses_before = kc::GlobalCompiledQueryCache().misses();
+      StatusOr<double> prepared = standing[q].handle.Query();
+      ASSERT_TRUE(prepared.ok()) << label;
+      EXPECT_NEAR(prepared.value(), truth, 1e-12) << label << ", query " << q;
+      if (q + 1 == standing.size() && structural) {
+        EXPECT_EQ(kc::GlobalCompiledQueryCache().misses(), misses_before)
+            << label << ": the unchanged lineage recompiled";
+      }
+      StatusOr<pqe::QueryAnswer> served = pqe::QueryProbability(
+          view.value(), standing[q].sentence, circuit_rung);
+      ASSERT_TRUE(served.ok()) << label;
+      EXPECT_NEAR(served.value().probability, truth, 1e-12)
+          << label << ", query " << q;
+    }
+  }
+  EXPECT_GE(structural_steps, 15);
+  EXPECT_EQ(standing.back().handle.rebuilds(), structural_steps);
+  EXPECT_GT(standing.back().handle.incremental_refreshes(), 0);
 }
 
 /// A TiPdb is a view that reflects its store: a view taken before a
@@ -537,22 +653,34 @@ TEST(StorageInvalidationTest, OldViewReflectsStoreMutations) {
   check("after UpdateProbability");
 }
 
-TEST(StorageInvalidationTest, ConcurrentReadersAndRegistrations) {
+TEST(StorageInvalidationTest, ConcurrentReaders) {
   std::shared_ptr<TiStore> store = ChainStore(32);
+  const StatusOr<pdb::TiPdbD> view = pdb::TiPdbD::FromStore(store);
+  ASSERT_TRUE(view.ok());
+  const logic::Formula sentence = ChainQuery(store->schema());
+  pqe::QueryOptions circuit_rung;
+  circuit_rung.lifted = false;
+  const double expected =
+      pqe::QueryProbability(view.value(), sentence, circuit_rung)
+          .value()
+          .probability;
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&store, t] {
+    threads.emplace_back([&, t] {
       for (int i = 0; i < 200; ++i) {
         const int hub = (t * 53 + i) % 32;
         EXPECT_GE(store->FindFact(ChainR(hub)), 0);
         EXPECT_GT(store->Marginal(ChainR(hub)), 0.0);
-        store->RegisterDependentArtifact(static_cast<uint64_t>(t),
-                                         static_cast<uint64_t>(i));
+        if (i % 50 == 0) {
+          StatusOr<pqe::QueryAnswer> answer =
+              pqe::QueryProbability(view.value(), sentence, circuit_rung);
+          ASSERT_TRUE(answer.ok());
+          EXPECT_EQ(answer.value().probability, expected);
+        }
       }
     });
   }
   for (std::thread& thread : threads) thread.join();
-  EXPECT_GT(store->num_dependent_artifacts(), 0);
 }
 
 TEST(TiStoreTest, ErasingARelationsLastFactLeavesItEmptyButUsable) {
