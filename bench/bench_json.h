@@ -16,6 +16,9 @@
 //     ]
 //   }
 //
+// ns_per_op is in nanoseconds whatever unit the benchmark displays in
+// (->Unit(benchmark::kMillisecond) changes the console, not the file).
+//
 // ResultLine is the single place that knows this schema: per-benchmark
 // user counters (state.counters, e.g. pqe_bench's artifact_hits) ride
 // along in each row instead of being dropped on the floor. Re-running a
@@ -69,6 +72,13 @@ inline std::string ResultLine(
   return line.str();
 }
 
+// A run's wall-clock time per iteration in nanoseconds.
+// GetAdjustedRealTime() is in the run's display unit.
+inline double NsPerOp(const benchmark::BenchmarkReporter::Run& run) {
+  return run.GetAdjustedRealTime() * 1e9 /
+         benchmark::GetTimeUnitMultiplier(run.time_unit);
+}
+
 class JsonDumpReporter : public benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& reports) override {
@@ -80,9 +90,8 @@ class JsonDumpReporter : public benchmark::ConsoleReporter {
       for (const auto& [name, counter] : run.counters) {
         counters.emplace_back(name, static_cast<double>(counter));
       }
-      lines_.push_back(ResultLine(suite_, run.benchmark_name(),
-                                  run.GetAdjustedRealTime(), run.iterations,
-                                  counters));
+      lines_.push_back(ResultLine(suite_, run.benchmark_name(), NsPerOp(run),
+                                  run.iterations, counters));
     }
   }
 

@@ -2,8 +2,9 @@
 // circuit rung on hierarchical queries, as the instance grows from 10²
 // to 10⁵ facts. The lifted rows run the governed QueryProbability ladder
 // with defaults (so they price exactly what a caller gets); the circuit
-// rows disable the lifted rung and clear the artifact cache each
-// iteration so every sample pays grounding + d-DNNF compilation.
+// rows call the circuit rung, pqe::GroundCompileEvaluate, and clear the
+// artifact cache each iteration so every sample pays grounding + d-DNNF
+// compilation.
 //
 // Each row carries a `facts` counter (actual instance size) and, where
 // the circuit oracle is still tractable, a `parity_abs_err` counter —
@@ -73,15 +74,13 @@ const char kConstantQuery[] = "exists y. R(777) & S(777, y)";
 const char kStarQuery[] = "exists x y z. R(x) & S(x, y) & U(x, z)";
 
 /// One-off parity probe for a row's setup: lifted answer vs the circuit
-/// rung on the same instance. Returns NaN when the caller opts out
-/// (instances where a fresh compile is too slow for setup).
+/// rung on the same instance.
 double ParityAbsErr(const pdb::TiPdb<double>& ti,
                     const ipdb::logic::Formula& query) {
   auto lifted = pqe::QueryProbability(ti, query, pqe::QueryOptions{});
-  pqe::QueryOptions circuit_only;
-  circuit_only.lifted = false;
   ipdb::kc::GlobalCompiledQueryCache().Clear();
-  auto circuit = pqe::QueryProbability(ti, query, circuit_only);
+  auto circuit = pqe::GroundCompileEvaluate(
+      *ti.store(), ipdb::logic::GuardedFormula(query), nullptr);
   ipdb::kc::GlobalCompiledQueryCache().Clear();
   if (!lifted.ok() || !circuit.ok()) return 1.0;  // poison the gate
   return std::fabs(lifted.value().probability - circuit.value().probability);
@@ -115,13 +114,13 @@ void CircuitRows(benchmark::State& state, const char* text,
                  const pdb::TiPdb<double>& ti) {
   ipdb::logic::Formula query =
       ipdb::logic::ParseSentence(text, ti.schema()).value();
-  pqe::QueryOptions circuit_only;
-  circuit_only.lifted = false;
   for (auto _ : state) {
     // A warm artifact cache would skip compilation; each sample pays the
-    // full ground + compile + evaluate pipeline the row advertises.
+    // full compile-the-sentence + ground + compile + evaluate pipeline
+    // the row advertises.
     ipdb::kc::GlobalCompiledQueryCache().Clear();
-    auto answer = pqe::QueryProbability(ti, query, circuit_only);
+    auto answer = pqe::GroundCompileEvaluate(
+        *ti.store(), ipdb::logic::GuardedFormula(query), nullptr);
     benchmark::DoNotOptimize(answer.ok());
   }
   state.counters["facts"] = static_cast<double>(ti.num_facts());

@@ -87,16 +87,18 @@ void BM_WmcBipartiteExists(benchmark::State& state) {
       ipdb::logic::ParseSentence("exists x y. R(x, y)", ti.schema())
           .value();
   // The single-atom existence query is safe, so the default ladder would
-  // answer it on the lifted rung; pin this row to the circuit pipeline
-  // it is meant to measure (lifted_bench prices the lifted path).
-  pqe::QueryOptions circuit_only;
-  circuit_only.lifted = false;
+  // answer it on the lifted rung; this row runs the circuit rung it is
+  // meant to measure (lifted_bench prices the lifted path).
   for (auto _ : state) {
-    pqe::WmcStats stats;
-    auto p = pqe::QueryProbability(ti, query, circuit_only, &stats);
-    benchmark::DoNotOptimize(p.ok());
+    auto answer = pqe::GroundCompileEvaluate(
+        *ti.store(), ipdb::logic::GuardedFormula(query), nullptr);
+    benchmark::DoNotOptimize(answer.ok());
+    if (!answer.ok()) {
+      state.SkipWithError("circuit rung failed");
+      return;
+    }
     state.counters["shannon"] =
-        static_cast<double>(stats.shannon_expansions);
+        static_cast<double>(answer.value().artifact->stats.decisions);
   }
 }
 BENCHMARK(BM_WmcBipartiteExists)->Arg(2)->Arg(4)->Arg(6);
@@ -164,13 +166,12 @@ void BM_SafePlanVsWmc_Wmc(benchmark::State& state) {
   ipdb::logic::Formula query =
       ipdb::logic::ParseSentence("exists x y. R(x) & S(x, y)", schema)
           .value();
-  // This row is the generic-pipeline side of the comparison: keep it on
-  // the circuit rung (the default ladder would take the lifted fast
-  // path for this hierarchical query and measure the wrong thing).
-  pqe::QueryOptions circuit_only;
-  circuit_only.lifted = false;
+  // This row is the generic-pipeline side of the comparison: it runs the
+  // circuit rung (the default ladder would take the lifted fast path for
+  // this hierarchical query and measure the wrong thing).
   for (auto _ : state) {
-    benchmark::DoNotOptimize(pqe::QueryProbability(ti, query, circuit_only));
+    benchmark::DoNotOptimize(pqe::GroundCompileEvaluate(
+        *ti.store(), ipdb::logic::GuardedFormula(query), nullptr));
   }
 }
 BENCHMARK(BM_SafePlanVsWmc_Wmc)->Arg(4)->Arg(16);

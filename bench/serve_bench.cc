@@ -464,7 +464,7 @@ int Run(int argc, char** argv) {
        "slo_availability=0.999"},
       {"beta", "budget_ms=2000 slo_p99_ms=5000 slo_availability=0.999"},
       {"gamma",
-       "lifted=false max_circuit_nodes=1 fallback_samples=20000 "
+       "max_circuit_nodes=1 fallback_samples=20000 "
        "degraded_samples=4000 max_in_flight=512 slo_availability=0.95"},
   };
   for (const auto& tenant : tenants) {

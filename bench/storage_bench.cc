@@ -215,8 +215,7 @@ void BM_FindFact(benchmark::State& state) {
 }
 BENCHMARK(BM_FindFact)->Arg(100000);
 
-/// Chain store for the re-query rows: n ≈ 2·hubs facts, the classic
-/// ∃x∃y R(x) ∧ S(x,y) query, forced down the circuit pipeline.
+/// Chain store for the re-query rows: n ≈ 2·hubs facts.
 std::shared_ptr<storage::TiStore> RequeryStore(int hubs) {
   rel::Schema schema({{"R", 1}, {"S", 2}});
   storage::TiStore::Builder builder(schema);
@@ -229,19 +228,19 @@ std::shared_ptr<storage::TiStore> RequeryStore(int hubs) {
   return builder.Finish().value();
 }
 
+/// The re-query rows' query: a hub with no S edge. The negation puts it
+/// outside the lifted class, so PreparedQuery holds a circuit.
+const char kRequeryQuery[] = "exists x. R(x) & !(exists y. S(x, y))";
+
 void BM_ColdRequery(benchmark::State& state) {
   std::shared_ptr<storage::TiStore> store =
       RequeryStore(static_cast<int>(state.range(0)));
   ipdb::logic::Formula query =
-      ipdb::logic::ParseSentence("exists x y. R(x) & S(x, y)",
-                                 store->schema())
-          .value();
-  pqe::PreparedQuery::Options options;
-  options.allow_lifted = false;
+      ipdb::logic::ParseSentence(kRequeryQuery, store->schema()).value();
   for (auto _ : state) {
     // Cold: every iteration pays ground + compile + evaluate.
     ipdb::kc::GlobalCompiledQueryCache().Clear();
-    auto prepared = pqe::PreparedQuery::Prepare(store, query, options);
+    auto prepared = pqe::PreparedQuery::Prepare(store, query);
     benchmark::DoNotOptimize(prepared.ok());
     if (!prepared.ok()) {
       state.SkipWithError("prepare failed");
@@ -256,15 +255,11 @@ void BM_IncrementalRequery(benchmark::State& state) {
   std::shared_ptr<storage::TiStore> store =
       RequeryStore(static_cast<int>(state.range(0)));
   ipdb::logic::Formula query =
-      ipdb::logic::ParseSentence("exists x y. R(x) & S(x, y)",
-                                 store->schema())
-          .value();
-  pqe::PreparedQuery::Options options;
-  options.allow_lifted = false;
+      ipdb::logic::ParseSentence(kRequeryQuery, store->schema()).value();
   ipdb::kc::GlobalCompiledQueryCache().Clear();
-  auto prepared = pqe::PreparedQuery::Prepare(store, query, options);
-  if (!prepared.ok()) {
-    state.SkipWithError("prepare failed");
+  auto prepared = pqe::PreparedQuery::Prepare(store, query);
+  if (!prepared.ok() || prepared.value().lifted()) {
+    state.SkipWithError("prepare failed or took the lifted rung");
     return;
   }
   const rel::Fact touched(0, {rel::Value::Int(1)});

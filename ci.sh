@@ -6,13 +6,15 @@
 # turn and must unwind as a clean Status), TSan over the concurrency
 # tests, an optimized Release build (-O2 -DNDEBUG, -Werror) so the
 # arithmetic kernels are exercised the way benchmarks and users run them
-# and no warning lands, and a Release build with
+# and no warning lands, plus a build (no run) of the perfbench program
+# with its own flags, and a Release build with
 # -DIPDB_OBSERVABILITY=OFF so the compiled-out macro expansions stay
 # buildable. Every leg includes the knowledge-
 # compilation tests (kc_test, kc_property_test); the Release legs
 # additionally gate one-shot compile + evaluate against closed forms
-# (1e-9), the lifted safe-plan rung (1e-9 parity with the circuit rung
-# plus a >= 10x speedup on the chain query at 10^4 facts), the columnar
+# (1e-9), the lifted safe-plan rung (1e-9 parity with the circuit rung,
+# pqe::GroundCompileEvaluate, plus a >= 10x speedup on the chain query at
+# 10^4 facts), the columnar
 # fact store (<= 48 bytes/fact at 10^7 facts as a bare store and as a
 # registered TiPdb instance, >= 5x grounding speedup over the recorded
 # object-per-tuple baseline in BENCH_storage.json, incremental re-query
@@ -183,6 +185,15 @@ cmake --build build-release -j"${jobs}"
 require_kc_tests build-release
 ctest --test-dir build-release --output-on-failure -j"${jobs}" "$@"
 
+echo "=== perfbench build (Release, run.py's flags, not run) ==="
+# perfbench/ builds the library from src/ and links its own program
+# against LiftedPlan::Compile, GroundSentence and PreparedQuery; building
+# it here shows a break in those entry points before a benchmark run
+# does. The flags are the ones perfbench/run.py configures with.
+cmake -S perfbench -B build-perfbench -DCMAKE_BUILD_TYPE=Release \
+  -DCMAKE_CXX_FLAGS_RELEASE="-O2 -DNDEBUG" >/dev/null
+cmake --build build-perfbench -j"${jobs}"
+
 echo "=== release build + tests, observability compiled out ==="
 cmake -B build-obs-off -S . -DCMAKE_BUILD_TYPE=Release \
   -DCMAKE_CXX_FLAGS_RELEASE="-O2 -DNDEBUG" \
@@ -220,10 +231,10 @@ sys.exit(1 if failed else 0)
 EOF
 
 echo "=== lifted-rung parity + speedup gate (Release) ==="
-# The lifted safe-plan rung must (a) agree with the circuit rung to
-# 1e-9 on every row that carries a parity counter and (b) beat the
-# ground-and-compile pipeline by >= 10x on the chain query at 10^4
-# facts. The star rows are reported for the crossover table in
+# The lifted safe-plan rung must (a) agree with the circuit rung
+# (pqe::GroundCompileEvaluate, called directly) to 1e-9 on every row that
+# carries a parity counter and (b) beat that ground-and-compile pipeline
+# by >= 10x on the chain query at 10^4 facts. The star rows are reported for the crossover table in
 # EXPERIMENTS.md but not gated (same engine, noisier setup).
 lifted_json="build-release/BENCH_ci_lifted.json"
 rm -f "${lifted_json}"
@@ -264,10 +275,12 @@ echo "=== columnar storage gates (Release) ==="
 #    BM_GroundLegacy row in the repo-root BENCH_storage.json. That row
 #    timed a grounder, since deleted, that materialized a std::map over
 #    the whole instance per call, and comes from the last Release
-#    storage_bench run that still had it. Both rows are in ms;
+#    storage_bench run that still had it. Both rows are in ns, as every
+#    ns_per_op is;
 #  * after UpdateProbability, a PreparedQuery re-answer (re-evaluate the
 #    held circuit on its literals' marginals) is >= 10x faster than the
-#    cold ground + compile + evaluate pipeline.
+#    cold ground + compile + evaluate pipeline, on a query outside the
+#    lifted class.
 storage_json="build-release/BENCH_storage.json"
 rm -f "${storage_json}"
 (cd build-release && ./bench/storage_bench \

@@ -36,6 +36,14 @@ int GuardedFormula::free_slot(const std::string& name) const {
              : static_cast<int>(it - slot_names_.begin());
 }
 
+bool GuardedFormula::MatchesSchema(const rel::Schema& schema) const {
+  return std::all_of(nodes_.begin(), nodes_.end(), [&schema](const Node& n) {
+    return n.kind != FormulaKind::kAtom ||
+           (schema.has_relation(n.relation) &&
+            schema.arity(n.relation) == static_cast<int>(n.terms.size()));
+  });
+}
+
 int GuardedFormula::Build(const Formula& formula,
                           std::vector<std::pair<std::string, int>>* scope) {
   Node node;

@@ -16,14 +16,15 @@ namespace ipdb {
 namespace logic {
 
 /// A formula compiled once for model checking (evaluator.h), grounding
-/// (pqe/lineage.h) and answer enumeration (pqe/expected_answers.h): every
-/// variable occurrence is resolved to a dense slot, and every quantifier
-/// carries the guard analysis that bounds the values worth trying.
+/// (pqe/lineage.h), the lifted plan (pqe/safe_plan.h) and answer
+/// enumeration (pqe/expected_answers.h): every variable occurrence is
+/// resolved to a dense slot, and every quantifier carries the guard
+/// analysis that bounds the values worth trying.
 ///
 /// Slots. The requested free variables take the first slots in order of
 /// first occurrence, the formula's other free variables follow, then one
-/// slot per quantifier in pre-order. Resolution settles shadowing once, so an
-/// assignment is a flat array indexed by slot.
+/// slot per quantifier in pre-order. Resolution settles shadowing once,
+/// so an assignment is a flat array indexed by slot.
 ///
 /// Guards. Quantifiers range over the infinite universe, made finite by
 /// genericity (evaluator.h). Most values of that domain cannot matter:
@@ -109,6 +110,8 @@ class GuardedFormula {
     return head_guards_[static_cast<size_t>(slot)];
   }
   int quantifier_rank() const { return rank_; }
+  /// True when every atom names a relation of `schema` at its arity.
+  bool MatchesSchema(const rel::Schema& schema) const;
 
  private:
   int Build(const Formula& formula,

@@ -441,10 +441,17 @@ StatusOr<NodeId> GroundSentence(const storage::TiStore& store,
                                 const logic::Formula& sentence,
                                 Lineage* lineage,
                                 const ExecutionBudget* budget) {
-  if (!sentence.FreeVariables().empty()) {
+  return GroundSentence(store, GuardedFormula(sentence), lineage, budget);
+}
+
+StatusOr<NodeId> GroundSentence(const storage::TiStore& store,
+                                const GuardedFormula& formula,
+                                Lineage* lineage,
+                                const ExecutionBudget* budget) {
+  if (formula.num_free() > 0) {
     return InvalidArgumentError("grounding requires a sentence");
   }
-  if (!sentence.MatchesSchema(store.schema())) {
+  if (!formula.MatchesSchema(store.schema())) {
     return InvalidArgumentError("sentence does not match the TI schema");
   }
   if (store.num_facts() > std::numeric_limits<NodeId>::max()) {
@@ -452,7 +459,6 @@ StatusOr<NodeId> GroundSentence(const storage::TiStore& store,
         "lineage variables are 32-bit: the store has too many facts to "
         "ground");
   }
-  const GuardedFormula formula(sentence);
   if (store.dictionary().size() + static_cast<int64_t>(
                                       formula.constants().size()) +
           formula.quantifier_rank() >=

@@ -90,28 +90,36 @@ class Lineage {
 /// Variable i of the lineage is global fact i of the TI's store.
 /// Quantifiers follow the infinite-universe semantics of
 /// logic/evaluator.h (adom(T) ∪ consts(φ) ∪ fresh elements). Delegates
-/// to the store overload below.
+/// to the store overloads below.
 StatusOr<NodeId> GroundSentence(const pdb::TiPdb<double>& ti,
                                 const logic::Formula& sentence,
                                 Lineage* lineage,
                                 const ExecutionBudget* budget = nullptr);
 
-/// The grounder. The assignment is one dictionary id per variable slot
-/// (logic/guards.h), and an atom is one binary search in its relation's
-/// sorted run. A quantifier binds its variable from the store's rows
-/// that can satisfy its body: ∃ tries its guard's candidates, ∀ its
-/// co-guard's, read through PrefixRange when the bound positions form a
-/// prefix and by one scan of the relation otherwise. Only variables that
-/// no guard covers range over adom ∪ consts ∪ fresh, an id range that is
-/// never materialized. A skipped value grounds the body to False (∃) or
-/// True (∀), so the lineage's fingerprint equals that of the full-domain
-/// expansion; node ids depend on the store's facts and the sentence.
+/// Compiles `sentence` into a logic::GuardedFormula and grounds that.
+StatusOr<NodeId> GroundSentence(const storage::TiStore& store,
+                                const logic::Formula& sentence,
+                                Lineage* lineage,
+                                const ExecutionBudget* budget = nullptr);
+
+/// The grounder, over a compiled formula: a caller that grounds one
+/// query many times compiles it once. The assignment is one dictionary
+/// id per variable slot (logic/guards.h), and an atom is one binary
+/// search in its relation's sorted run. A quantifier binds its variable
+/// from the store's rows that can satisfy its body: ∃ tries its guard's
+/// candidates, ∀ its co-guard's, read through PrefixRange when the bound
+/// positions form a prefix and by one scan of the relation otherwise.
+/// Only variables that no guard covers range over adom ∪ consts ∪ fresh,
+/// an id range that is never materialized. A skipped value grounds the
+/// body to False (∃) or True (∀), so the lineage's fingerprint equals
+/// that of the full-domain expansion; node ids depend on the store's
+/// facts and the sentence.
 ///
 /// `budget`, when set, is charged one unit per value a quantifier tries;
 /// a tripped deadline or cancel token returns kDeadlineExceeded or
 /// kCancelled within one BudgetMeter poll stride.
 StatusOr<NodeId> GroundSentence(const storage::TiStore& store,
-                                const logic::Formula& sentence,
+                                const logic::GuardedFormula& formula,
                                 Lineage* lineage,
                                 const ExecutionBudget* budget = nullptr);
 

@@ -9,34 +9,22 @@ namespace ipdb {
 namespace pqe {
 
 StatusOr<PreparedQuery> PreparedQuery::Prepare(
-    std::shared_ptr<const storage::TiStore> store, logic::Formula sentence,
-    const Options& options) {
+    std::shared_ptr<const storage::TiStore> store,
+    const logic::Formula& sentence, const Options& options) {
   if (store == nullptr) return InvalidArgumentError("null store");
-  PreparedQuery prepared;
-  prepared.store_ = std::move(store);
-  prepared.sentence_ = std::move(sentence);
-  prepared.options_ = options;
-
-  if (options.allow_lifted) {
-    StatusOr<LiftedPlan> plan = LiftedPlan::Compile(prepared.sentence_);
-    if (plan.ok()) {
-      prepared.plan_ =
-          std::make_unique<LiftedPlan>(std::move(plan).value());
-      // Evaluate once so schema mismatches surface at Prepare time.
-      LiftedOptions lifted_options;
-      lifted_options.budget = options.budget;
-      StatusOr<double> probability =
-          prepared.plan_->Evaluate(*prepared.store_, lifted_options);
-      if (!probability.ok()) return probability.status();
-      return prepared;
-    }
-    // Outside the safe-plan class: fall through to the circuit
-    // pipeline. Anything but the class rejection is a real error.
-    if (plan.status().code() != StatusCode::kFailedPrecondition) {
-      return plan.status();
-    }
+  PreparedQuery prepared(std::move(store), sentence, options);
+  StatusOr<LiftedPlan> plan = LiftedPlan::Compile(prepared.formula_);
+  if (plan.ok()) {
+    prepared.plan_ = std::make_unique<LiftedPlan>(std::move(plan).value());
+    // Evaluate once so schema mismatches surface at Prepare time.
+    LiftedOptions lifted_options;
+    lifted_options.budget = options.budget;
+    StatusOr<double> probability =
+        prepared.plan_->Evaluate(*prepared.store_, lifted_options);
+    if (!probability.ok()) return probability.status();
+    return prepared;
   }
-
+  // Outside the safe-plan class: the circuit pipeline answers.
   Status cold = prepared.Rebuild();
   if (!cold.ok()) return cold;
   return prepared;
@@ -51,7 +39,7 @@ Status PreparedQuery::Rebuild() {
   const uint64_t structure = store_->structure_generation();
   const uint64_t probability = store_->probability_generation();
   StatusOr<CircuitAnswer> circuit =
-      GroundCompileEvaluate(*store_, sentence_, options_.budget);
+      GroundCompileEvaluate(*store_, formula_, options_.budget);
   if (!circuit.ok()) return circuit.status();
   artifact_ = std::move(circuit.value().artifact);
   answer_ = circuit.value().probability;

@@ -4,9 +4,11 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <utility>
 
 #include "kc/compile.h"
 #include "logic/formula.h"
+#include "logic/guards.h"
 #include "pqe/safe_plan.h"
 #include "storage/ti_store.h"
 #include "util/budget.h"
@@ -17,9 +19,11 @@ namespace pqe {
 
 /// A query prepared against a *live* columnar store: the
 /// compile-once / re-query-many contract made incremental. Prepare()
-/// runs the cold pipeline once (safe plan, or QueryProbability's circuit
-/// rung, GroundCompileEvaluate); Query() then reacts to the store's
-/// generation counters instead of redoing work:
+/// compiles the sentence once into the logic::GuardedFormula the handle
+/// keeps, and runs the cold pipeline once on it: the safe plan when the
+/// query is a hierarchical self-join-free CQ, else QueryProbability's
+/// circuit rung, GroundCompileEvaluate. Query() then reacts to the
+/// store's generation counters instead of redoing work:
 ///
 ///  * untouched store            — the memoized answer is returned;
 ///  * UpdateProbability happened — the *held circuit* is re-evaluated on
@@ -28,9 +32,10 @@ namespace pqe {
 ///    this is the ≥10×-cheaper incremental path the storage bench
 ///    gates);
 ///  * Insert/Erase happened      — global fact indices may have shifted,
-///    so Query() grounds again and probes the artifact cache with the new
-///    lineage. A lineage whose facts kept their numbers is unchanged and
-///    hits; one over renumbered or different facts misses and compiles.
+///    so Query() grounds the kept formula again and probes the artifact
+///    cache with the new lineage. A lineage whose facts kept their
+///    numbers is unchanged and hits; one over renumbered or different
+///    facts misses and compiles.
 ///
 /// A circuit is a function of its lineage over fact indices, and every
 /// evaluation reads the current marginals, so the cache needs no
@@ -45,10 +50,6 @@ namespace pqe {
 /// readers racing each other and the refresh machinery, not racing the
 /// mutators.
 struct PreparedOptions {
-  /// Answer hierarchical self-join-free CQs by the safe plan (no
-  /// circuit, no cache). Off forces the ground-compile-evaluate
-  /// pipeline — what the incremental re-query bench measures.
-  bool allow_lifted = true;
   /// Null = unlimited; governs grounding, compilation and evaluation.
   const ExecutionBudget* budget = nullptr;
 };
@@ -59,13 +60,14 @@ class PreparedQuery {
 
   /// Runs the cold pipeline and memoizes the first answer.
   static StatusOr<PreparedQuery> Prepare(
-      std::shared_ptr<const storage::TiStore> store, logic::Formula sentence,
-      const Options& options = {});
+      std::shared_ptr<const storage::TiStore> store,
+      const logic::Formula& sentence, const Options& options = {});
 
   /// The query probability, current with respect to the store.
   StatusOr<double> Query();
 
-  /// True when the safe-plan engine answers this query.
+  /// True when the safe-plan engine answers this query (the query is a
+  /// hierarchical self-join-free CQ).
   bool lifted() const { return plan_ != nullptr; }
   /// Re-ground passes triggered by structural mutations (the
   /// Prepare-time pass is not counted). Each probes the artifact cache,
@@ -81,14 +83,18 @@ class PreparedQuery {
   }
 
  private:
-  PreparedQuery() = default;
+  PreparedQuery(std::shared_ptr<const storage::TiStore> store,
+                const logic::Formula& sentence, const Options& options)
+      : store_(std::move(store)), formula_(sentence), options_(options) {}
 
   /// Ground + probe/compile + evaluate (the cold path). Caller holds mu_
   /// (except during Prepare, before the handle is shared).
   Status Rebuild();
 
   std::shared_ptr<const storage::TiStore> store_;
-  logic::Formula sentence_;
+  /// The compiled query: the safe plan's input, and what every rebuild
+  /// grounds.
+  logic::GuardedFormula formula_;
   Options options_;
 
   /// Serializes the circuit-mode state below across concurrent Query()

@@ -2,15 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <numeric>
-#include <set>
 #include <string>
 #include <utility>
 
 #include "math/rational.h"
 #include "obs/obs.h"
-#include "relational/fact.h"
 #include "util/check.h"
 #include "util/fault.h"
 
@@ -19,131 +16,8 @@ namespace pqe {
 
 namespace {
 
-using logic::Formula;
 using logic::FormulaKind;
 using logic::Term;
-
-/// Variables occurring in an atom.
-std::set<std::string> AtomVariables(const Formula& atom) {
-  std::set<std::string> vars;
-  for (const Term& t : atom.terms()) {
-    if (t.is_var()) vars.insert(t.var());
-  }
-  return vars;
-}
-
-/// Every variable name mentioned anywhere in the formula (terms and
-/// quantifiers), so alpha-renaming can pick names fresh with respect to
-/// scopes not yet visited.
-void AllVariableNames(const Formula& formula, std::set<std::string>* names) {
-  for (const Term& t : formula.terms()) {
-    if (t.is_var()) names->insert(t.var());
-  }
-  if (formula.kind() == FormulaKind::kExists ||
-      formula.kind() == FormulaKind::kForall) {
-    names->insert(formula.quantified_var());
-  }
-  for (const Formula& child : formula.children()) {
-    AllVariableNames(child, names);
-  }
-}
-
-/// Collects atoms from a ∃-prefixed conjunction tree, alpha-renaming
-/// quantifiers apart: ∃x R(x) ∧ ∃x S(x) must not alias the two scopes
-/// (conflating them by name would wrongly compute P(∃x (R(x) ∧ S(x)))),
-/// so a re-used name gets a fresh variant before its body is visited.
-/// `quantified` is the set of quantifier names already claimed, `names`
-/// every name the fresh variants must avoid.
-Status CollectAtoms(const Formula& formula, std::set<std::string>* quantified,
-                    std::set<std::string>* names, ParsedCq* out) {
-  switch (formula.kind()) {
-    case FormulaKind::kAtom:
-      out->atoms.push_back(formula);
-      return Status::Ok();
-    case FormulaKind::kTrue:
-      return Status::Ok();
-    case FormulaKind::kAnd:
-      for (const Formula& child : formula.children()) {
-        Status status = CollectAtoms(child, quantified, names, out);
-        if (!status.ok()) return status;
-      }
-      return Status::Ok();
-    case FormulaKind::kExists: {
-      const std::string& name = formula.quantified_var();
-      if (quantified->insert(name).second) {
-        names->insert(name);
-        out->variables.push_back(name);
-        return CollectAtoms(formula.children()[0], quantified, names, out);
-      }
-      std::string fresh;
-      for (int k = 1;; ++k) {
-        fresh = name + "#" + std::to_string(k);
-        if (names->insert(fresh).second) break;
-      }
-      quantified->insert(fresh);
-      out->variables.push_back(fresh);
-      // Substitute is capture-avoiding: a nested re-shadowing ∃name stops
-      // the substitution, and that deeper scope is renamed on its own
-      // visit below.
-      Formula body =
-          formula.children()[0].Substitute(name, Term::Var(fresh));
-      return CollectAtoms(body, quantified, names, out);
-    }
-    default:
-      return FailedPreconditionError(
-          "not a pure conjunctive query (only ∃, ∧ and relational atoms "
-          "are supported by the safe plan)");
-  }
-}
-
-}  // namespace
-
-StatusOr<ParsedCq> ParseSelfJoinFreeCq(const logic::Formula& sentence) {
-  if (!sentence.FreeVariables().empty()) {
-    return FailedPreconditionError("safe plans evaluate boolean queries");
-  }
-  ParsedCq parsed;
-  std::set<std::string> quantified;
-  std::set<std::string> names;
-  AllVariableNames(sentence, &names);
-  Status status = CollectAtoms(sentence, &quantified, &names, &parsed);
-  if (!status.ok()) return status;
-  std::set<rel::RelationId> relations;
-  for (const Formula& atom : parsed.atoms) {
-    if (!relations.insert(atom.relation()).second) {
-      return FailedPreconditionError(
-          "self-join detected (relation repeated); the dichotomy's safe "
-          "plans require self-join-free queries");
-    }
-  }
-  return parsed;
-}
-
-bool IsHierarchical(const ParsedCq& query) {
-  // at(x) for every variable, as sets of atom indices.
-  std::map<std::string, std::set<size_t>> at;
-  for (size_t i = 0; i < query.atoms.size(); ++i) {
-    for (const std::string& v : AtomVariables(query.atoms[i])) {
-      at[v].insert(i);
-    }
-  }
-  for (const auto& [x, ax] : at) {
-    for (const auto& [y, ay] : at) {
-      std::set<size_t> common;
-      std::set_intersection(ax.begin(), ax.end(), ay.begin(), ay.end(),
-                            std::inserter(common, common.begin()));
-      if (common.empty()) continue;
-      bool x_in_y = std::includes(ay.begin(), ay.end(), ax.begin(),
-                                  ax.end());
-      bool y_in_x = std::includes(ax.begin(), ax.end(), ay.begin(),
-                                  ay.end());
-      if (!x_in_y && !y_in_x) return false;
-    }
-  }
-  return true;
-}
-
-namespace {
 
 /// Per-semiring arithmetic of the plan evaluator. Joins need the plain
 /// product; projects need Π(1 − pᵢ), which each semiring accumulates its
@@ -230,6 +104,13 @@ class LiftedPlan::Compiler {
     }
   }
 
+  /// Appends the atoms of the ∃/∧ tree under node `id` to the plan's
+  /// atoms and terms, in conjunct order. Fails with kFailedPrecondition
+  /// on any other connective and on a relation already used (a
+  /// self-join).
+  static Status AddAtoms(const logic::GuardedFormula& formula, int id,
+                         LiftedPlan* plan);
+
   /// Plan construction over a set of atoms, with bound_ marking the
   /// variables projected by enclosing nodes. Returns the node index, or
   /// kFailedPrecondition when a connected subquery has no root variable.
@@ -260,45 +141,26 @@ class LiftedPlan::Compiler {
 };
 
 StatusOr<LiftedPlan> LiftedPlan::Compile(const logic::Formula& sentence) {
-  StatusOr<ParsedCq> parsed = ParseSelfJoinFreeCq(sentence);
-  if (!parsed.ok()) return parsed.status();
-  const std::vector<Formula>& atoms = parsed.value().atoms;
-  // Variable ids in quantifier order (alpha-renaming made them unique).
-  const std::vector<std::string>& variables = parsed.value().variables;
-  LiftedPlan plan;
-  for (const std::string& v : variables) plan.variables_.push_back(v);
-  for (const Formula& atom : atoms) {
-    PlanAtom info;
-    info.relation = atom.relation();
-    info.first_term = static_cast<int>(plan.terms_.size());
-    info.arity = static_cast<int>(atom.terms().size());
-    for (const Term& t : atom.terms()) {
-      PlanTerm term;
-      if (t.is_var()) {
-        const auto it = std::find(variables.begin(), variables.end(), t.var());
-        // The sentence is closed, so every term variable is quantified.
-        IPDB_CHECK(it != variables.end())
-            << "unquantified variable " << t.var();
-        term.var = static_cast<int>(it - variables.begin());
-      } else {
-        const auto it = std::find(plan.constants_.begin(),
-                                  plan.constants_.end(), t.value());
-        term.constant = static_cast<int>(it - plan.constants_.begin());
-        if (it == plan.constants_.end()) plan.constants_.push_back(t.value());
-      }
-      plan.terms_.push_back(term);
-    }
-    while (info.leading_constants < info.arity &&
-           plan.terms_[static_cast<size_t>(info.first_term +
-                                           info.leading_constants)]
-                   .var < 0) {
-      ++info.leading_constants;
-    }
-    plan.atoms_.push_back(info);
-  }
+  return Compile(logic::GuardedFormula(sentence));
+}
 
-  if (!atoms.empty()) {
-    std::vector<int> all(atoms.size());
+StatusOr<LiftedPlan> LiftedPlan::Compile(
+    const logic::GuardedFormula& formula) {
+  if (formula.num_free() > 0) {
+    return FailedPreconditionError("safe plans evaluate boolean queries");
+  }
+  LiftedPlan plan;
+  IPDB_RETURN_IF_ERROR(Compiler::AddAtoms(formula, formula.root(), &plan));
+  // A closed formula's slots are its quantifiers, so they are the plan's
+  // variable ids; the constants keep the formula's indexes.
+  for (int slot = 0; slot < formula.num_slots(); ++slot) {
+    plan.variables_.push_back(formula.slot_name(slot));
+  }
+  for (const rel::Value& value : formula.constants()) {
+    plan.constants_.push_back(value);
+  }
+  if (!plan.atoms_.empty()) {
+    std::vector<int> all(plan.atoms_.size());
     std::iota(all.begin(), all.end(), 0);
     Compiler compiler(&plan);
     StatusOr<int> root = compiler.Build(all, 0);
@@ -306,6 +168,51 @@ StatusOr<LiftedPlan> LiftedPlan::Compile(const logic::Formula& sentence) {
     plan.root_ = root.value();
   }
   return plan;
+}
+
+Status LiftedPlan::Compiler::AddAtoms(const logic::GuardedFormula& formula,
+                                      int id, LiftedPlan* plan) {
+  const logic::GuardedFormula::Node& node = formula.node(id);
+  switch (node.kind) {
+    case FormulaKind::kTrue:
+      return Status::Ok();
+    case FormulaKind::kAnd:
+    case FormulaKind::kExists:
+      for (int child : node.children) {
+        IPDB_RETURN_IF_ERROR(AddAtoms(formula, child, plan));
+      }
+      return Status::Ok();
+    case FormulaKind::kAtom:
+      break;
+    default:
+      return FailedPreconditionError(
+          "not a pure conjunctive query (only ∃, ∧ and relational atoms "
+          "are supported by the safe plan)");
+  }
+  for (const PlanAtom& atom : plan->atoms_) {
+    if (atom.relation == node.relation) {
+      return FailedPreconditionError(
+          "self-join detected (relation repeated); the dichotomy's safe "
+          "plans require self-join-free queries");
+    }
+  }
+  PlanAtom info;
+  info.relation = node.relation;
+  info.first_term = static_cast<int>(plan->terms_.size());
+  info.arity = static_cast<int>(node.terms.size());
+  for (const logic::GuardedFormula::Term& t : node.terms) {
+    PlanTerm term;
+    (t.is_slot ? term.var : term.constant) = t.index;
+    plan->terms_.push_back(term);
+  }
+  while (info.leading_constants < info.arity &&
+         plan->terms_[static_cast<size_t>(info.first_term +
+                                          info.leading_constants)]
+                 .var < 0) {
+    ++info.leading_constants;
+  }
+  plan->atoms_.push_back(info);
+  return Status::Ok();
 }
 
 StatusOr<int> LiftedPlan::Compiler::Build(const std::vector<int>& atom_set,

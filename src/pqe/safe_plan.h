@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "logic/formula.h"
+#include "logic/guards.h"
 #include "pdb/ti_pdb.h"
 #include "relational/value.h"
 #include "storage/ti_store.h"
@@ -36,8 +37,10 @@ namespace pqe {
 /// rejected with kFailedPrecondition (they are #P-hard; use wmc.h).
 ///
 /// The engine is compile-once / evaluate-many: `LiftedPlan::Compile`
-/// derives an extensional plan IR (independent-project /
-/// independent-join / ground-lookup nodes) from the hierarchy witness,
+/// reads the query's logic::GuardedFormula, the compiled form the
+/// grounder and the evaluator share, and derives an extensional plan IR
+/// (independent-project / independent-join / ground-lookup nodes) from
+/// the hierarchy witness,
 /// and `Evaluate` walks it over the store's sorted runs in place: each
 /// atom is a range of sorted-run positions, narrowed by its constants and
 /// by the values outer projects bind — no row copies, no re-scan. Like
@@ -46,27 +49,6 @@ namespace pqe {
 /// exact `math::Rational`, and certified `Interval` enclosures.
 /// `QueryProbability(QueryOptions)` in wmc.h uses the plan as the first
 /// rung of its degradation ladder (lifted → compile → Monte Carlo).
-
-/// A parsed self-join-free CQ: the existential variables and atoms of a
-/// boolean CQ sentence. Quantified variables are alpha-renamed apart, so
-/// ∃x R(x) ∧ ∃x S(x) yields two distinct variables (the two scopes are
-/// independent; conflating them by name would wrongly compute
-/// P(∃x (R(x) ∧ S(x)))). `variables` lists each quantifier exactly once
-/// under its possibly-freshened name.
-struct ParsedCq {
-  std::vector<logic::Formula> atoms;  // kAtom formulas
-  std::vector<std::string> variables;
-};
-
-/// Extracts atoms from a boolean CQ sentence (∃-prefixed conjunction of
-/// relational atoms; quantifiers may nest inside the conjunction).
-/// Shadowed quantified variables are alpha-renamed apart. Fails if the
-/// sentence is not of that shape, uses equality atoms, or repeats a
-/// relation symbol (self-join).
-StatusOr<ParsedCq> ParseSelfJoinFreeCq(const logic::Formula& sentence);
-
-/// Decides the hierarchy property for a parsed CQ.
-bool IsHierarchical(const ParsedCq& query);
 
 /// Execution counters for the safe plan. For a compiled LiftedPlan the
 /// join/project counters describe the *plan shape* (nodes in the IR) and
@@ -92,11 +74,12 @@ enum class PlanOp {
 /// reference each other by index; the IR is a tree rooted at root().
 struct PlanNode {
   PlanOp op = PlanOp::kGroundLookup;
-  /// kIndependentProject: the projected variable, numbered in quantifier
-  /// order (ParsedCq::variables); -1 otherwise.
+  /// kIndependentProject: the projected variable, the GuardedFormula slot
+  /// of its quantifier (slots follow the quantifiers in pre-order); -1
+  /// otherwise.
   int project_var = -1;
   /// kGroundLookup: the atom looked up, numbered in conjunct order
-  /// (ParsedCq::atoms); -1 otherwise.
+  /// (left to right); -1 otherwise.
   int atom = -1;
   /// The node's children, read through LiftedPlan::children(): entries
   /// [first_child, first_child + num_children) of the plan's flat child
@@ -144,10 +127,14 @@ struct LiftedOptions {
 /// id and merged the same way.
 class LiftedPlan {
  public:
-  /// Derives the plan from the hierarchy witness of `sentence`. Fails
-  /// with kFailedPrecondition when the sentence is not a hierarchical
-  /// self-join-free boolean CQ (not a CQ shape, self-join, or no root
-  /// variable in some connected subquery).
+  /// Derives the plan from the hierarchy witness of `formula`, whose
+  /// slots already tell shadowed quantifiers apart: ∃x R(x) ∧ ∃x S(x)
+  /// has two independent variables. Fails with kFailedPrecondition when
+  /// the formula is not a hierarchical self-join-free boolean CQ (free
+  /// variables, a connective other than ∃ and ∧, an equality, a repeated
+  /// relation, or no root variable in some connected subquery).
+  static StatusOr<LiftedPlan> Compile(const logic::GuardedFormula& formula);
+  /// Compile(logic::GuardedFormula(sentence)).
   static StatusOr<LiftedPlan> Compile(const logic::Formula& sentence);
 
   /// Pr_{I~ti}(I ⊨ q) in the P-semiring, evaluated over the TI's store

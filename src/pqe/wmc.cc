@@ -99,9 +99,9 @@ StatusOr<double> ComputeProbability(Lineage* lineage, NodeId root,
   return probability;
 }
 
-StatusOr<CircuitAnswer> GroundCompileEvaluate(const storage::TiStore& store,
-                                              const logic::Formula& sentence,
-                                              const ExecutionBudget* budget) {
+StatusOr<CircuitAnswer> GroundCompileEvaluate(
+    const storage::TiStore& store, const logic::GuardedFormula& formula,
+    const ExecutionBudget* budget) {
   if (budget != nullptr && budget->unlimited()) budget = nullptr;
   std::optional<Lineage> lineage(std::in_place);
   NodeId root = -1;
@@ -109,7 +109,7 @@ StatusOr<CircuitAnswer> GroundCompileEvaluate(const storage::TiStore& store,
     IPDB_OBS_SPAN("pqe.ground", "pqe");
     IPDB_FAULT_POINT("pqe.ground");
     StatusOr<NodeId> grounded =
-        GroundSentence(store, sentence, &*lineage, budget);
+        GroundSentence(store, formula, &*lineage, budget);
     if (!grounded.ok()) return grounded.status();
     root = grounded.value();
   }
@@ -168,10 +168,11 @@ StatusOr<QueryAnswer> QueryProbability(const pdb::TiPdb<double>& ti,
                                        const QueryOptions& options,
                                        WmcStats* stats) {
   // The span tree below is the serving pipeline's cost breakdown:
-  // pqe.query = pqe.ground + pqe.cache_probe (kc.compile nests inside on
-  // a miss) + pqe.evaluate, with only branch checks in between — a
-  // trace therefore attributes essentially all query wall-clock to a
-  // named phase (ci.sh gates the coverage at 95%).
+  // pqe.query = pqe.lifted (compiling the sentence, and the plan walk
+  // when the query is a safe CQ) + pqe.ground + pqe.cache_probe
+  // (kc.compile nests inside on a miss) + pqe.evaluate, with only branch
+  // checks in between — a trace therefore attributes essentially all
+  // query wall-clock to a named phase (ci.sh gates the coverage at 95%).
   IPDB_OBS_SPAN("pqe.query", "pqe");
   IPDB_OBS_SCOPED_TIMER("pqe.query_ns");
   IPDB_OBS_COUNT("pqe.queries", 1);
@@ -183,15 +184,18 @@ StatusOr<QueryAnswer> QueryProbability(const pdb::TiPdb<double>& ti,
   // Lifted rung: hierarchical self-join-free CQs are answered by the
   // safe-plan engine without grounding or compiling anything. Queries
   // outside the class (kFailedPrecondition from the plan compiler) fall
-  // through to the circuit rung; a budget trip *during* evaluation skips
-  // the circuit rung too (the same deadline governs it, and grounding
-  // costs strictly more than the plan walk that just tripped) and goes
-  // straight to the Monte Carlo fallback.
+  // through to the circuit rung, which grounds the same compiled
+  // formula; a budget trip *during* evaluation skips the circuit rung
+  // too (the same deadline governs it, and grounding costs strictly more
+  // than the plan walk that just tripped) and goes straight to the Monte
+  // Carlo fallback.
   Status exact_error;
   bool skip_exact = false;
-  if (options.lifted) {
+  std::optional<logic::GuardedFormula> formula;
+  {
     IPDB_OBS_SPAN("pqe.lifted", "pqe");
-    StatusOr<LiftedPlan> plan = LiftedPlan::Compile(sentence);
+    formula.emplace(sentence);
+    StatusOr<LiftedPlan> plan = LiftedPlan::Compile(*formula);
     if (plan.ok()) {
       IPDB_OBS_COUNT("pqe.lifted.queries", 1);
       SafePlanStats plan_stats;
@@ -223,10 +227,8 @@ StatusOr<QueryAnswer> QueryProbability(const pdb::TiPdb<double>& ti,
       }
       exact_error = probability.status();
       skip_exact = true;
-    } else if (plan.status().code() == StatusCode::kFailedPrecondition) {
-      IPDB_OBS_COUNT("pqe.lifted.rejected", 1);
     } else {
-      return plan.status();
+      IPDB_OBS_COUNT("pqe.lifted.rejected", 1);
     }
   }
 
@@ -235,7 +237,7 @@ StatusOr<QueryAnswer> QueryProbability(const pdb::TiPdb<double>& ti,
   // propagates.
   if (!skip_exact) {
     StatusOr<CircuitAnswer> circuit =
-        GroundCompileEvaluate(*ti.store(), sentence, budget);
+        GroundCompileEvaluate(*ti.store(), *formula, budget);
     if (circuit.ok()) {
       // Replay the compilation trace (from the artifact on a hit) so the
       // counters describe the query's inference structure either way

@@ -6,6 +6,7 @@
 
 #include "kc/compile.h"
 #include "logic/formula.h"
+#include "logic/guards.h"
 #include "pdb/ti_pdb.h"
 #include "pqe/lineage.h"
 #include "storage/ti_store.h"
@@ -57,16 +58,18 @@ struct CircuitAnswer {
 };
 
 /// The circuit rung, shared by QueryProbability's exact rung and
-/// PreparedQuery: grounds `sentence` on `store` (span pqe.ground), fetches
+/// PreparedQuery: grounds `formula` on `store` (span pqe.ground), fetches
 /// the circuit of its lineage from kc::GlobalCompiledQueryCache(),
 /// compiling on a miss and freeing the lineage (span pqe.cache_probe), and
 /// evaluates it with EvaluateOnStore (span pqe.evaluate). The cache key is
 /// the lineage over fact indices, so a query grounded again after
 /// Insert/Erase hits whenever its facts kept their numbers. `budget`
-/// governs every phase; a trip returns its error.
-StatusOr<CircuitAnswer> GroundCompileEvaluate(const storage::TiStore& store,
-                                              const logic::Formula& sentence,
-                                              const ExecutionBudget* budget);
+/// governs every phase; a trip returns its error. Callers that price or
+/// test the circuit rung on a query the lifted rung would answer call
+/// this directly.
+StatusOr<CircuitAnswer> GroundCompileEvaluate(
+    const storage::TiStore& store, const logic::GuardedFormula& formula,
+    const ExecutionBudget* budget);
 
 /// The probability of `artifact`, a circuit over the fact indices of
 /// `store`, on the store's current marginals. Reads only the marginals of
@@ -79,7 +82,8 @@ StatusOr<double> EvaluateOnStore(const kc::CompiledQuery& artifact,
 /// End-to-end PQE: Pr_{I ~ ti}(I ⊨ φ). Hierarchical self-join-free CQs
 /// are answered by the lifted safe-plan engine (safe_plan.h, linear-ish
 /// in the data); everything else grounds and runs compiled d-DNNF
-/// evaluation via the global artifact cache (see kc/cache.h).
+/// evaluation via the global artifact cache (see kc/cache.h). The query
+/// alone picks the rung.
 StatusOr<double> QueryProbability(const pdb::TiPdb<double>& ti,
                                   const logic::Formula& sentence,
                                   WmcStats* stats = nullptr);
@@ -127,13 +131,6 @@ struct QueryOptions {
   /// Null = unlimited, in which case the overload behaves exactly like
   /// plain QueryProbability.
   const ExecutionBudget* budget = nullptr;
-  /// Try the lifted safe-plan engine first (safe_plan.h): hierarchical
-  /// self-join-free CQs are answered exactly without grounding or
-  /// compiling, orders of magnitude faster at scale. Queries outside
-  /// that class fall through to the circuit rung transparently. Off
-  /// forces the ground-then-compile path (ablations; tests of the
-  /// circuit ladder machinery).
-  bool lifted = true;
   /// Degrade to a certified Monte Carlo interval when exact inference
   /// exceeds the budget. Off = budget errors propagate as Statuses.
   bool fallback = true;
@@ -151,22 +148,23 @@ struct QueryOptions {
 ///
 ///   1. lifted   — safe-plan evaluation for hierarchical self-join-free
 ///                 CQs (exact, no grounding; skipped for queries outside
-///                 the class or when options.lifted is off);
+///                 the class);
 ///   2. compile  — ground, compile via the artifact cache, evaluate the
 ///                 d-DNNF (exact);
 ///   3. fallback — a certified Monte Carlo interval (quality kInterval).
 ///
-/// Every rung runs under options.budget; a cap or deadline trip degrades
-/// to the next rung instead of failing — a bounded answer now beats an
-/// exact answer never. (A budget trip *inside* the lifted rung skips the
-/// circuit rung too: the same deadline governs both, and grounding costs
-/// strictly more than the plan walk that just tripped.) When the lifted
-/// rung answers, stats->decompositions mirrors its independence steps
-/// (joins + projects); shannon_expansions stays 0. Real errors
-/// (malformed queries, evaluation failures) propagate as Statuses
-/// regardless; with fallback disabled, budget errors do too. Lifted and
-/// fallback traffic is visible in the pqe.lifted.* / pqe.fallback.*
-/// registry counters.
+/// The sentence is compiled once, into the logic::GuardedFormula that
+/// both exact rungs read. Every rung runs under options.budget; a cap or
+/// deadline trip degrades to the next rung instead of failing — a
+/// bounded answer now beats an exact answer never. (A budget trip
+/// *inside* the lifted rung skips the circuit rung too: the same deadline
+/// governs both, and grounding costs strictly more than the plan walk
+/// that just tripped.) When the lifted rung answers,
+/// stats->decompositions mirrors its independence steps (joins +
+/// projects); shannon_expansions stays 0. Real errors (malformed
+/// queries, evaluation failures) propagate as Statuses regardless; with
+/// fallback disabled, budget errors do too. Lifted and fallback traffic
+/// is visible in the pqe.lifted.* / pqe.fallback.* registry counters.
 StatusOr<QueryAnswer> QueryProbability(const pdb::TiPdb<double>& ti,
                                        const logic::Formula& sentence,
                                        const QueryOptions& options,

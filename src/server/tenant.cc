@@ -5,6 +5,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 namespace ipdb {
@@ -97,10 +98,6 @@ StatusOr<TenantConfig> ParseTenantConfig(const std::string& text) {
       StatusOr<int64_t> parsed = ParseInt(key, value);
       if (!parsed.ok()) return parsed.status();
       config.max_samples = parsed.value();
-    } else if (key == "lifted") {
-      StatusOr<bool> parsed = ParseBool(key, value);
-      if (!parsed.ok()) return parsed.status();
-      config.lifted = parsed.value();
     } else if (key == "fallback") {
       StatusOr<bool> parsed = ParseBool(key, value);
       if (!parsed.ok()) return parsed.status();
@@ -159,6 +156,10 @@ Status ValidateTenantConfig(const TenantConfig& config) {
       config.cache_max_entries < 0) {
     return InvalidArgumentError("tenant config: caps must be >= 0");
   }
+  if (config.budget_ms > kMaxBudgetMs) {
+    return InvalidArgumentError(
+        "tenant config: budget_ms must be <= " + std::to_string(kMaxBudgetMs));
+  }
   if (config.fallback_samples < 1 || config.degraded_samples < 1) {
     return InvalidArgumentError(
         "tenant config: sample counts must be >= 1");
@@ -199,7 +200,6 @@ pqe::QueryOptions ToQueryOptions(
   budget->max_samples = config.max_samples;
   budget->cancel = cancel;
   pqe::QueryOptions options;
-  options.lifted = config.lifted;
   options.fallback = config.fallback;
   options.fallback_samples = config.fallback_samples;
   options.fallback_confidence = config.fallback_confidence;

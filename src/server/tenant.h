@@ -11,6 +11,11 @@
 namespace ipdb {
 namespace server {
 
+/// The largest accepted budget_ms, 10^12 ms (about 31.7 years): a
+/// larger budget would put the deadline past the range of the clock's
+/// int64 nanoseconds.
+inline constexpr int64_t kMaxBudgetMs = 1'000'000'000'000;
+
 /// Per-tenant serving policy: how much work one tenant may have in
 /// flight, how long a single query may run, and how its queries map
 /// onto the pqe::QueryOptions degradation ladder. A default-constructed
@@ -23,7 +28,7 @@ struct TenantConfig {
 
   /// Per-query wall-clock budget in milliseconds, measured from
   /// admission (queue wait counts — a serving deadline, not a compute
-  /// deadline). 0 = no deadline.
+  /// deadline). 0 = no deadline; at most kMaxBudgetMs.
   int64_t budget_ms = 0;
   /// Cap on compiled-circuit size per query (ExecutionBudget
   /// semantics); 0 = uncapped.
@@ -32,7 +37,6 @@ struct TenantConfig {
   int64_t max_samples = 0;
 
   /// QueryOptions pass-throughs (see pqe/wmc.h).
-  bool lifted = true;
   bool fallback = true;
   int64_t fallback_samples = 100000;
   double fallback_confidence = 0.99;
@@ -68,14 +72,15 @@ struct TenantConfig {
 
 /// Parses "key=value key=value ..." (whitespace- and/or semicolon-
 /// separated) into a TenantConfig. Unknown keys, non-numeric values,
-/// out-of-range values (negative caps, confidence outside (0, 1)) all
-/// return kInvalidArgument — a malformed tenant config must never
-/// abort a serving process. Boolean keys accept 0/1/true/false.
+/// out-of-range values (negative caps, budget_ms above kMaxBudgetMs,
+/// confidence outside (0, 1)) all return kInvalidArgument — a malformed
+/// tenant config must never abort a serving process. Boolean keys accept
+/// 0/1/true/false.
 ///
 /// Keys: max_in_flight, budget_ms, max_circuit_nodes, max_samples,
-/// lifted, fallback, fallback_samples, fallback_confidence,
-/// degraded_samples, cache_max_bytes, cache_max_entries, trace_sample,
-/// slo_p99_ms, slo_availability, slo_burn_alert.
+/// fallback, fallback_samples, fallback_confidence, degraded_samples,
+/// cache_max_bytes, cache_max_entries, trace_sample, slo_p99_ms,
+/// slo_availability, slo_burn_alert.
 StatusOr<TenantConfig> ParseTenantConfig(const std::string& text);
 
 /// Validates a config built in code (same rules as the parser).
@@ -87,8 +92,9 @@ Status ValidateTenantConfig(const TenantConfig& config);
 /// `degraded` applies the admission controller's sample-only rung: the
 /// compile rung is capped out (max_circuit_nodes = 1, so exact circuit
 /// work trips immediately and certified sampling answers instead) and
-/// the sample count drops to degraded_samples. The lifted rung stays
-/// on in degraded mode — a safe-plan answer is cheaper than sampling.
+/// the sample count drops to degraded_samples. A query the lifted rung
+/// answers is still answered exactly in degraded mode — a safe-plan
+/// answer is cheaper than sampling.
 pqe::QueryOptions ToQueryOptions(const TenantConfig& config,
                                  ExecutionBudget* budget,
                                  ExecutionBudget::Clock::time_point

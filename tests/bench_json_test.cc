@@ -1,6 +1,8 @@
 /// bench_json.h's merge: a run replaces only the rows whose (suite, op)
 /// it emitted again, so a --benchmark_filter run keeps the rest of its
 /// suite and a recorded row of a deleted benchmark stays as a baseline.
+/// And its rows: ns_per_op is nanoseconds whatever unit a benchmark
+/// displays in.
 
 #include <gtest/gtest.h>
 
@@ -60,6 +62,21 @@ TEST(BenchJsonTest, MergeReplacesOnlyTheRowsThisRunEmitted) {
                                                  {"storage/BM_B", 3.0},
                                                  {"other/BM_A", 4.0}}));
   std::remove(path);
+}
+
+TEST(BenchJsonTest, NsPerOpIsInNanosecondsWhateverTheDisplayUnit) {
+  // 10 iterations in 0.5 s: 50 ms per iteration, displayed as 50 by a
+  // kMillisecond benchmark and as 5e7 by a kNanosecond one.
+  benchmark::BenchmarkReporter::Run run;
+  run.iterations = 10;
+  run.real_accumulated_time = 0.5;
+  run.time_unit = benchmark::kMillisecond;
+  EXPECT_DOUBLE_EQ(run.GetAdjustedRealTime(), 50.0);
+  EXPECT_DOUBLE_EQ(bench_json::NsPerOp(run), 5e7);
+  run.time_unit = benchmark::kMicrosecond;
+  EXPECT_DOUBLE_EQ(bench_json::NsPerOp(run), 5e7);
+  run.time_unit = benchmark::kNanosecond;
+  EXPECT_DOUBLE_EQ(bench_json::NsPerOp(run), 5e7);
 }
 
 }  // namespace

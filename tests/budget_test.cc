@@ -417,8 +417,10 @@ TEST(QueryDegradationTest, UnlimitedBudgetStaysExact) {
 // contains the true probability — no abort, answer now.
 TEST(QueryDegradationTest, NodeCapFallsBackToCertifiedInterval) {
   pdb::TiPdb<double> ti = PathTi();
+  // A self-join: the lifted rung turns it away, so the circuit rung runs
+  // and the node cap can bite.
   logic::Formula sentence =
-      logic::ParseSentence("exists x y. R(x, y) & S(y)", ti.schema())
+      logic::ParseSentence("exists x y z. R(x, y) & R(y, z)", ti.schema())
           .value();
   StatusOr<double> truth = pqe::QueryProbabilityBruteForce(ti, sentence);
   ASSERT_TRUE(truth.ok());
@@ -437,9 +439,6 @@ TEST(QueryDegradationTest, NodeCapFallsBackToCertifiedInterval) {
   ExecutionBudget budget;
   budget.max_circuit_nodes = 1;
   pqe::QueryOptions options;
-  // The query is safe, so the default ladder would answer it exactly on
-  // the lifted rung; force the circuit rung so the node cap can bite.
-  options.lifted = false;
   options.budget = &budget;
   options.fallback_samples = 20000;
   options.fallback_confidence = 0.999;
@@ -469,14 +468,14 @@ TEST(QueryDegradationTest, NodeCapFallsBackToCertifiedInterval) {
 
 TEST(QueryDegradationTest, FallbackDisabledPropagatesBudgetError) {
   pdb::TiPdb<double> ti = PathTi();
+  // A self-join, so the circuit rung runs (see above).
   logic::Formula sentence =
-      logic::ParseSentence("exists x y. R(x, y) & S(y)", ti.schema())
+      logic::ParseSentence("exists x y z. R(x, y) & R(y, z)", ti.schema())
           .value();
   kc::GlobalCompiledQueryCache().Clear();
   ExecutionBudget budget;
   budget.max_circuit_nodes = 1;
   pqe::QueryOptions options;
-  options.lifted = false;  // force the circuit rung (see above)
   options.budget = &budget;
   options.fallback = false;
   StatusOr<pqe::QueryAnswer> answer =

@@ -285,8 +285,10 @@ TEST(QueryProbabilityTest, AnswersViaCompiledCacheWithStats) {
 TEST(QueryProbabilityTest, RegistryMirrorsArtifactCacheHits) {
   obs::SetMetricsEnabled(true);
   pdb::TiPdb<double> ti = PathTi();
+  // A self-join, so every query takes the circuit rung and probes the
+  // artifact cache.
   logic::Formula sentence =
-      logic::ParseSentence("exists x y. R(x, y) & S(y)", ti.schema())
+      logic::ParseSentence("exists x y z. R(x, y) & R(y, z)", ti.schema())
           .value();
 
   CompiledQueryCache& cache = GlobalCompiledQueryCache();
@@ -295,11 +297,7 @@ TEST(QueryProbabilityTest, RegistryMirrorsArtifactCacheHits) {
   const int64_t cache_hits_before = cache.hits();
   const int64_t cache_misses_before = cache.misses();
 
-  // The sentence is a safe CQ, which the default ladder answers on the
-  // lifted rung without ever probing the artifact cache — opt out so
-  // this test keeps exercising the cache mirror.
   pqe::QueryOptions options;
-  options.lifted = false;
   pqe::WmcStats stats;
   ASSERT_TRUE(pqe::QueryProbability(ti, sentence, options, &stats).ok());
   ASSERT_TRUE(pqe::QueryProbability(ti, sentence, options, &stats).ok());

@@ -5,15 +5,19 @@
 /// pipeline and brute-force world enumeration — plus, per query, an
 /// interval-semiring enclosure checked to contain the exact answer on a
 /// dyadic instance. Randomly generated queries *outside* the safe class
-/// double as rejection coverage.
+/// double as rejection coverage, and a wider generator checks which
+/// sentences the plan compiler accepts against a hierarchy oracle of the
+/// test's own.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "kc/compile.h"
@@ -271,6 +275,207 @@ TEST(LiftedParityTest, NarrowingAndGatheredShapesMatchBruteForce) {
       EXPECT_EQ(lifted.value(), testing_util::BruteForceRational(ti, sentence))
           << text << " round " << round;
     }
+  }
+}
+
+/// A random term over `vars`: a variable nine times in ten, else a
+/// constant below `universe`.
+logic::Term RandomTerm(const std::vector<std::string>& vars, int universe,
+                       Pcg32* rng) {
+  if (rng->NextBounded(10) < 9) {
+    return logic::Term::Var(
+        vars[rng->NextBounded(static_cast<uint32_t>(vars.size()))]);
+  }
+  return logic::Term::Int(
+      static_cast<int64_t>(rng->NextBounded(static_cast<uint32_t>(universe))));
+}
+
+/// RandomCq widened to the shapes around the safe class. Half the
+/// sentences draw relations with replacement (self-joins); an atom may
+/// sit under a nested quantifier that shadows a group variable, turn
+/// into ¬atom or atom ∨ atom, or come with a `true` or an equality
+/// conjunct; one sentence in twenty is negated whole. Every sentence is
+/// closed.
+logic::Formula RandomSentence(const rel::Schema& schema, int universe,
+                              Pcg32* rng) {
+  const int num_relations = schema.num_relations();
+  std::vector<int> relations(num_relations);
+  for (int i = 0; i < num_relations; ++i) relations[i] = i;
+  for (int i = num_relations - 1; i > 0; --i) {
+    std::swap(relations[i],
+              relations[rng->NextBounded(static_cast<uint32_t>(i + 1))]);
+  }
+  const bool self_joins = rng->NextBounded(2) == 0;
+  size_t next_relation = 0;
+  const char* names[] = {"x", "y", "z"};
+  const auto any_relation = [&] {
+    return static_cast<int>(
+        rng->NextBounded(static_cast<uint32_t>(num_relations)));
+  };
+  const auto atom_of = [&](int relation,
+                           const std::vector<std::string>& vars) {
+    std::vector<logic::Term> terms;
+    for (int pos = 0; pos < schema.arity(relation); ++pos) {
+      terms.push_back(RandomTerm(vars, universe, rng));
+    }
+    return logic::Atom(relation, std::move(terms));
+  };
+  const int num_groups = 1 + static_cast<int>(rng->NextBounded(2));
+  std::vector<logic::Formula> groups;
+  for (int g = 0; g < num_groups; ++g) {
+    const int num_vars = 1 + static_cast<int>(rng->NextBounded(3));
+    std::vector<std::string> vars(names, names + num_vars);
+    const int num_atoms = 1 + static_cast<int>(rng->NextBounded(4));
+    std::vector<logic::Formula> conjuncts;
+    for (int a = 0; a < num_atoms; ++a) {
+      if (!self_joins && next_relation == relations.size()) break;
+      logic::Formula atom = atom_of(
+          self_joins ? any_relation() : relations[next_relation++], vars);
+      switch (rng->NextBounded(30)) {
+        case 0:
+          atom = logic::Exists(
+              vars[rng->NextBounded(static_cast<uint32_t>(vars.size()))],
+              std::move(atom));
+          break;
+        case 1:
+          atom = logic::Not(std::move(atom));
+          break;
+        case 2:
+          atom = logic::Or(std::move(atom), atom_of(any_relation(), vars));
+          break;
+        case 3:
+          conjuncts.push_back(logic::Eq(RandomTerm(vars, universe, rng),
+                                        RandomTerm(vars, universe, rng)));
+          break;
+        case 4:
+          conjuncts.push_back(logic::Truth());
+          break;
+        default:
+          break;
+      }
+      conjuncts.push_back(std::move(atom));
+    }
+    if (conjuncts.empty()) continue;
+    groups.push_back(logic::ExistsAll(vars, logic::And(std::move(conjuncts))));
+  }
+  logic::Formula sentence = logic::And(std::move(groups));
+  if (rng->NextBounded(20) == 0) sentence = logic::Not(std::move(sentence));
+  return sentence;
+}
+
+enum class Verdict { kSafe, kNotCq, kSelfJoin, kNotHierarchical };
+
+/// The safe class read straight off the definition, sharing no code with
+/// the plan compiler: the sentence is an ∃/∧ tree over relational atoms
+/// and `true` with no free variable; after renaming quantifiers apart
+/// (each ∃ gets its own id, an occurrence the innermost one), no relation
+/// occurs twice, and any two variables' atom sets are nested or disjoint.
+class SafeClassOracle {
+ public:
+  Verdict Classify(const logic::Formula& sentence) {
+    if (!Walk(sentence)) return Verdict::kNotCq;
+    std::vector<rel::RelationId> sorted = relations_;
+    std::sort(sorted.begin(), sorted.end());
+    if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
+      return Verdict::kSelfJoin;
+    }
+    std::vector<std::set<int>> at(static_cast<size_t>(next_var_));
+    for (size_t a = 0; a < atom_vars_.size(); ++a) {
+      for (int v : atom_vars_[a]) {
+        at[static_cast<size_t>(v)].insert(static_cast<int>(a));
+      }
+    }
+    for (const std::set<int>& u : at) {
+      for (const std::set<int>& v : at) {
+        const bool meet = std::any_of(u.begin(), u.end(), [&v](int a) {
+          return v.count(a) > 0;
+        });
+        if (meet && !std::includes(u.begin(), u.end(), v.begin(), v.end()) &&
+            !std::includes(v.begin(), v.end(), u.begin(), u.end())) {
+          return Verdict::kNotHierarchical;
+        }
+      }
+    }
+    return Verdict::kSafe;
+  }
+
+ private:
+  bool Walk(const logic::Formula& f) {
+    switch (f.kind()) {
+      case logic::FormulaKind::kTrue:
+        return true;
+      case logic::FormulaKind::kAnd:
+        for (const logic::Formula& child : f.children()) {
+          if (!Walk(child)) return false;
+        }
+        return true;
+      case logic::FormulaKind::kExists: {
+        scope_.emplace_back(f.quantified_var(), next_var_++);
+        const bool ok = Walk(f.children()[0]);
+        scope_.pop_back();
+        return ok;
+      }
+      case logic::FormulaKind::kAtom: {
+        std::set<int> vars;
+        for (const logic::Term& t : f.terms()) {
+          if (!t.is_var()) continue;
+          auto it = std::find_if(
+              scope_.rbegin(), scope_.rend(),
+              [&t](const auto& entry) { return entry.first == t.var(); });
+          if (it == scope_.rend()) return false;  // free variable
+          vars.insert(it->second);
+        }
+        relations_.push_back(f.relation());
+        atom_vars_.push_back(std::move(vars));
+        return true;
+      }
+      default:
+        return false;
+    }
+  }
+
+  std::vector<std::pair<std::string, int>> scope_;
+  int next_var_ = 0;
+  std::vector<rel::RelationId> relations_;
+  std::vector<std::set<int>> atom_vars_;
+};
+
+TEST(LiftedParityTest, CompileAcceptsExactlyTheHierarchicalSjfCqs) {
+  // Three binary relations, so self-join-free groups of two or three
+  // atoms often cross their variables (S(x, y) ∧ U(y, z) ∧ W(z, x)).
+  rel::Schema schema({{"R", 1}, {"S", 2}, {"T", 1}, {"U", 2}, {"W", 2}});
+  Pcg32 rng(0x41e7a);
+  std::map<Verdict, int> seen;
+  for (int i = 0; i < 3000; ++i) {
+    const logic::Formula sentence = RandomSentence(schema, 3, &rng);
+    const Verdict verdict = SafeClassOracle().Classify(sentence);
+    ++seen[verdict];
+    StatusOr<LiftedPlan> plan = LiftedPlan::Compile(sentence);
+    ASSERT_EQ(plan.ok(), verdict == Verdict::kSafe)
+        << sentence.ToString(schema) << " oracle verdict "
+        << static_cast<int>(verdict);
+    if (!plan.ok()) {
+      EXPECT_EQ(plan.status().code(), StatusCode::kFailedPrecondition)
+          << sentence.ToString(schema);
+      continue;
+    }
+    // An accepted plan answers the sentence exactly, shadowed
+    // quantifiers and `true` conjuncts included.
+    pdb::TiPdb<math::Rational> ti =
+        testing_util::RandomRationalTi(schema, 6, 3, 10, &rng);
+    StatusOr<math::Rational> lifted = plan.value().Evaluate(ti);
+    ASSERT_TRUE(lifted.ok()) << sentence.ToString(schema);
+    ASSERT_EQ(lifted.value(), testing_util::BruteForceRational(ti, sentence))
+        << sentence.ToString(schema);
+  }
+  // Every verdict is well represented.
+  for (Verdict verdict : {Verdict::kSafe, Verdict::kNotCq, Verdict::kSelfJoin,
+                          Verdict::kNotHierarchical}) {
+    EXPECT_GE(seen[verdict], 100)
+        << "verdict " << static_cast<int>(verdict) << ": safe "
+        << seen[Verdict::kSafe] << ", not a CQ " << seen[Verdict::kNotCq]
+        << ", self-join " << seen[Verdict::kSelfJoin]
+        << ", not hierarchical " << seen[Verdict::kNotHierarchical];
   }
 }
 

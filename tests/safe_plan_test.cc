@@ -5,7 +5,9 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <vector>
 
+#include "logic/guards.h"
 #include "logic/parser.h"
 #include "math/rational.h"
 #include "pqe/wmc.h"
@@ -31,29 +33,30 @@ pdb::TiPdb<double> RandomTi(const rel::Schema& schema, int universe,
 }
 
 TEST(SafePlanTest, ParseAndClassify) {
+  // The plan compiler's status is the classification: a hierarchical
+  // self-join-free CQ compiles, anything else is kFailedPrecondition.
   rel::Schema schema = Schema3();
-  auto h1 = logic::ParseSentence("exists x y. R(x) & S(x, y)", schema);
-  auto parsed = ParseSelfJoinFreeCq(h1.value());
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_TRUE(IsHierarchical(parsed.value()));
+  const auto compile = [](const rel::Schema& s, const char* text) {
+    return LiftedPlan::Compile(logic::ParseSentence(text, s).value());
+  };
+  EXPECT_TRUE(compile(schema, "exists x y. R(x) & S(x, y)").ok());
 
   // The canonical non-hierarchical (#P-hard) query H0:
   // ∃x∃y R(x) ∧ S(x,y) ∧ T(y).
-  auto h0 = logic::ParseSentence("exists x y. R(x) & S(x, y) & T(y)",
-                                 schema);
-  auto parsed0 = ParseSelfJoinFreeCq(h0.value());
-  ASSERT_TRUE(parsed0.ok());
-  EXPECT_FALSE(IsHierarchical(parsed0.value()));
+  EXPECT_EQ(compile(schema, "exists x y. R(x) & S(x, y) & T(y)")
+                .status()
+                .code(),
+            StatusCode::kFailedPrecondition);
 
   // Self-joins rejected.
   rel::Schema schema2({{"E", 2}});
-  auto sj =
-      logic::ParseSentence("exists x y z. E(x, y) & E(y, z)", schema2);
-  EXPECT_FALSE(ParseSelfJoinFreeCq(sj.value()).ok());
+  EXPECT_EQ(
+      compile(schema2, "exists x y z. E(x, y) & E(y, z)").status().code(),
+      StatusCode::kFailedPrecondition);
 
   // Non-CQ shapes rejected.
-  auto neg = logic::ParseSentence("!(exists x. R(x))", schema);
-  EXPECT_FALSE(ParseSelfJoinFreeCq(neg.value()).ok());
+  EXPECT_EQ(compile(schema, "!(exists x. R(x))").status().code(),
+            StatusCode::kFailedPrecondition);
 }
 
 TEST(SafePlanTest, GroundQuery) {
@@ -110,15 +113,14 @@ TEST_P(SafePlanAgreement, MatchesWmcOnRandomTis) {
   logic::Formula sentence =
       logic::ParseSentence(GetParam().sentence, schema).value();
   Pcg32 rng(347);
-  // Force the circuit rung on the WMC side: the default ladder would
-  // answer safe queries via the very plan under test.
-  QueryOptions circuit_only;
-  circuit_only.lifted = false;
+  // The circuit rung, called directly: the default ladder would answer
+  // safe queries via the very plan under test.
+  const logic::GuardedFormula formula(sentence);
   for (int trial = 0; trial < 8; ++trial) {
     pdb::TiPdb<double> ti = RandomTi(schema, 3, &rng, 9);
     auto safe = SafeQueryProbability(ti, sentence);
     ASSERT_TRUE(safe.ok()) << safe.status().ToString();
-    auto wmc = QueryProbability(ti, sentence, circuit_only);
+    auto wmc = GroundCompileEvaluate(*ti.store(), formula, nullptr);
     ASSERT_TRUE(wmc.ok());
     EXPECT_NEAR(safe.value(), wmc.value().probability, 1e-10)
         << GetParam().sentence << " trial " << trial;
@@ -158,11 +160,20 @@ TEST(SafePlanTest, ShadowedQuantifiersAreIndependent) {
   logic::Formula sentence =
       logic::ParseSentence("(exists x. R(x)) & (exists x. T(x))", schema)
           .value();
-  auto parsed = ParseSelfJoinFreeCq(sentence);
-  ASSERT_TRUE(parsed.ok());
-  // Alpha-renaming keeps the two quantifiers distinct.
-  ASSERT_EQ(parsed.value().variables.size(), 2u);
-  EXPECT_NE(parsed.value().variables[0], parsed.value().variables[1]);
+  auto plan = LiftedPlan::Compile(sentence);
+  ASSERT_TRUE(plan.ok());
+  // The compiled formula's slots keep the two quantifiers distinct: two
+  // projects over different variables under one join.
+  std::vector<int> projected;
+  for (const PlanNode& node : plan.value().nodes()) {
+    if (node.op == PlanOp::kIndependentProject) {
+      projected.push_back(node.project_var);
+    }
+  }
+  ASSERT_EQ(projected.size(), 2u);
+  EXPECT_NE(projected[0], projected[1]);
+  EXPECT_EQ(plan.value().ToString(schema),
+            "join(project[x](lookup(R(x))), project[x](lookup(T(x))))");
 
   SafePlanStats stats;
   auto p = SafeQueryProbability(ti, sentence, &stats);
@@ -307,12 +318,10 @@ TEST(SafePlanTest, LadderReportsLiftedAnswers) {
   ASSERT_TRUE(brute.ok());
   EXPECT_NEAR(answer.value().probability, brute.value(), 1e-10);
 
-  // Opting out forces the circuit rung; the probability agrees.
-  QueryOptions circuit_only;
-  circuit_only.lifted = false;
-  auto circuit = QueryProbability(ti, safe, circuit_only);
+  // The circuit rung, called directly, agrees.
+  auto circuit =
+      GroundCompileEvaluate(*ti.store(), logic::GuardedFormula(safe), nullptr);
   ASSERT_TRUE(circuit.ok());
-  EXPECT_FALSE(circuit.value().lifted);
   EXPECT_NEAR(circuit.value().probability, answer.value().probability,
               1e-10);
 

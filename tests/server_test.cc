@@ -101,15 +101,14 @@ constexpr char kUnsafeQuery[] = "exists x y. R(x) & S(x, y) & T(y)";
 TEST(TenantConfigTest, ParsesKeyValueText) {
   StatusOr<TenantConfig> config = ParseTenantConfig(
       "max_in_flight=8 budget_ms=250; fallback_samples=5000 "
-      "lifted=false cache_max_entries=2");
+      "fallback=false cache_max_entries=2");
   ASSERT_TRUE(config.ok()) << config.status().ToString();
   EXPECT_EQ(config.value().max_in_flight, 8);
   EXPECT_EQ(config.value().budget_ms, 250);
   EXPECT_EQ(config.value().fallback_samples, 5000);
-  EXPECT_FALSE(config.value().lifted);
+  EXPECT_FALSE(config.value().fallback);
   EXPECT_EQ(config.value().cache_max_entries, 2);
   // Untouched keys keep their defaults.
-  EXPECT_TRUE(config.value().fallback);
   EXPECT_DOUBLE_EQ(config.value().fallback_confidence, 0.99);
 }
 
@@ -127,11 +126,14 @@ TEST(TenantConfigTest, MalformedConfigsReturnStatusNeverAbort) {
       "max_in_flight=abc",        // not an integer
       "max_in_flight=3x",         // trailing garbage
       "budget_ms=1e3garbage",     // bad number
-      "lifted=yes",               // bad boolean
+      "fallback=yes",             // bad boolean
       "no_such_knob=1",           // unknown key
+      "lifted=false",             // unknown key: the query picks its rung
       "max_in_flight=0",          // quota below 1
       "max_in_flight=-3",         // negative quota
       "budget_ms=-1",             // negative cap
+      "budget_ms=10000000000000",  // deadline past the clock's range
+      "budget_ms=9223372036854775807",  // overflowed computing it
       "fallback_samples=0",       // sample count below 1
       "fallback_confidence=1.5",  // confidence outside (0, 1)
       "fallback_confidence=0",    // confidence outside (0, 1)
@@ -154,6 +156,18 @@ TEST(TenantConfigTest, ValidateRejectsBadConfigsBuiltInCode) {
   EXPECT_EQ(ValidateTenantConfig(config).code(),
             StatusCode::kInvalidArgument);
   EXPECT_TRUE(ValidateTenantConfig(TenantConfig{}).ok());
+  config = TenantConfig{};
+  config.budget_ms = kMaxBudgetMs + 1;
+  EXPECT_EQ(ValidateTenantConfig(config).code(),
+            StatusCode::kInvalidArgument);
+  // The largest budget is accepted and still puts the deadline after its
+  // start.
+  config.budget_ms = kMaxBudgetMs;
+  EXPECT_TRUE(ValidateTenantConfig(config).ok());
+  ExecutionBudget budget;
+  const auto start = ExecutionBudget::Clock::now();
+  ToQueryOptions(config, &budget, start, /*degraded=*/false, nullptr);
+  EXPECT_GT(budget.deadline, start);
 }
 
 TEST(TenantConfigTest, MapsOntoQueryOptionsAndBudget) {
@@ -161,7 +175,6 @@ TEST(TenantConfigTest, MapsOntoQueryOptionsAndBudget) {
   config.budget_ms = 100;
   config.max_circuit_nodes = 500;
   config.max_samples = 9000;
-  config.lifted = false;
   config.fallback_samples = 7000;
   config.fallback_confidence = 0.9;
   CancelToken cancel;
@@ -175,7 +188,6 @@ TEST(TenantConfigTest, MapsOntoQueryOptionsAndBudget) {
   EXPECT_EQ(budget.max_circuit_nodes, 500);
   EXPECT_EQ(budget.max_samples, 9000);
   EXPECT_EQ(budget.cancel, &cancel);
-  EXPECT_FALSE(options.lifted);
   EXPECT_EQ(options.fallback_samples, 7000);
   EXPECT_DOUBLE_EQ(options.fallback_confidence, 0.9);
 }
@@ -192,7 +204,6 @@ TEST(TenantConfigTest, DegradedModeCapsTheCompileRung) {
   EXPECT_TRUE(options.fallback);
   EXPECT_EQ(budget.max_circuit_nodes, 1);
   EXPECT_EQ(options.fallback_samples, 2048);
-  EXPECT_TRUE(options.lifted);  // the cheap exact rung stays on
 }
 
 // ---------------------------------------------------------------------
@@ -427,7 +438,7 @@ TEST(EngineTest, OverloadShedsWithUnavailable) {
   ASSERT_TRUE(engine.RegisterInstance("db", SmallInstance()).ok());
   ASSERT_TRUE(engine
                   .RegisterTenant("acme",
-                                  "lifted=false max_circuit_nodes=1 "
+                                  "max_circuit_nodes=1 "
                                   "fallback_samples=20000")
                   .ok());
 
@@ -466,7 +477,7 @@ TEST(EngineTest, TenantQuotaShedsBeforeGlobalPressure) {
   ASSERT_TRUE(engine.RegisterInstance("db", SmallInstance()).ok());
   ASSERT_TRUE(engine
                   .RegisterTenant("tiny",
-                                  "max_in_flight=1 lifted=false "
+                                  "max_in_flight=1 "
                                   "max_circuit_nodes=1 "
                                   "fallback_samples=20000")
                   .ok());
@@ -497,17 +508,16 @@ TEST(EngineTest, TenantCacheAccountingIsExactAndCapped) {
   kc::GlobalCompiledQueryCache().Clear();
   Engine engine(WithThreads(2));
   ASSERT_TRUE(engine.RegisterInstance("db", SmallInstance()).ok());
-  // Both tenants force the circuit path; A may keep only one resident
-  // artifact, B is uncapped.
-  ASSERT_TRUE(
-      engine.RegisterTenant("capped", "lifted=false cache_max_entries=1")
-          .ok());
-  ASSERT_TRUE(engine.RegisterTenant("roomy", "lifted=false").ok());
+  // A may keep only one resident artifact, B is uncapped.
+  ASSERT_TRUE(engine.RegisterTenant("capped", "cache_max_entries=1").ok());
+  ASSERT_TRUE(engine.RegisterTenant("roomy", TenantConfig{}).ok());
 
+  // Outside the lifted class (a disjunction, then negations), so every
+  // query takes the circuit path.
   const std::vector<std::string> queries = {
-      "exists x. R(x)",
-      "exists x y. S(x, y)",
-      "exists x. T(x)",
+      "exists x. R(x) | T(x)",
+      "exists x. R(x) & !T(x)",
+      "exists x y. S(x, y) & !T(x)",
   };
   for (const std::string& query : queries) {
     ASSERT_TRUE(engine.Query("capped", "db", query).ok());
@@ -546,7 +556,7 @@ TEST(EngineTest, StopDrainsInFlightRejectsNewAndFlushesMetrics) {
   ASSERT_TRUE(engine.RegisterInstance("db", SmallInstance()).ok());
   ASSERT_TRUE(engine
                   .RegisterTenant("acme",
-                                  "lifted=false max_circuit_nodes=1 "
+                                  "max_circuit_nodes=1 "
                                   "fallback_samples=20000")
                   .ok());
 
@@ -614,15 +624,16 @@ TEST(PreparedConcurrencyTest, ManyReadersRaceTheRefreshMachinery) {
   StatusOr<std::shared_ptr<storage::TiStore>> built = builder.Finish();
   ASSERT_TRUE(built.ok());
   std::shared_ptr<storage::TiStore> store = built.value();
+  // The negation puts the query outside the lifted class, so the handle
+  // takes the locked circuit path.
   logic::Formula sentence =
-      logic::ParseSentence("exists x y. R(x) & S(x, y)", schema).value();
-
-  pqe::PreparedQuery::Options options;
-  options.allow_lifted = false;  // exercise the locked circuit path
+      logic::ParseSentence("exists x. R(x) & !(exists y. S(x, y))", schema)
+          .value();
   StatusOr<pqe::PreparedQuery> prepared =
-      pqe::PreparedQuery::Prepare(store, sentence, options);
+      pqe::PreparedQuery::Prepare(store, sentence);
   ASSERT_TRUE(prepared.ok());
   pqe::PreparedQuery& handle = prepared.value();
+  ASSERT_FALSE(handle.lifted());
 
   auto race = [&handle](double expected) {
     constexpr int kReaders = 8;

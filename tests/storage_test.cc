@@ -419,6 +419,14 @@ double BruteForceAnswer(const std::shared_ptr<TiStore>& store,
   return brute.value();
 }
 
+/// "Some hub has no S edge": a query over every fact of ChainStore that
+/// the lifted rung does not answer (the negation puts it outside the
+/// CQs), so a PreparedQuery of it holds a circuit.
+logic::Formula NoEdgeQuery(const rel::Schema& schema) {
+  return logic::ParseSentence("exists x. R(x) & !(exists y. S(x, y))", schema)
+      .value();
+}
+
 /// After Insert/Erase a prepared circuit query grounds again and probes
 /// the artifact cache with its new lineage: one over renumbered facts
 /// misses and compiles, one whose facts kept their numbers hits, and the
@@ -428,19 +436,19 @@ TEST(StorageInvalidationTest, StructuralMutationRecompilesOnlyChangedLineages) {
   cache.Clear();
   // R(i) is fact 2i, S(i, 1000 + i % 3) fact 2i + 1.
   std::shared_ptr<TiStore> store = ChainStore(4);
-  const logic::Formula chain = ChainQuery(store->schema());
+  const logic::Formula no_edge = NoEdgeQuery(store->schema());
   const logic::Formula low =
       logic::ParseSentence("R(0) & !S(0, 1000) | R(1)", store->schema())
           .value();
 
-  pqe::PreparedQuery::Options options;
-  options.allow_lifted = false;  // exercise the circuit pipeline
   StatusOr<pqe::PreparedQuery> all =
-      pqe::PreparedQuery::Prepare(store, chain, options);
+      pqe::PreparedQuery::Prepare(store, no_edge);
   StatusOr<pqe::PreparedQuery> prefix =
-      pqe::PreparedQuery::Prepare(store, low, options);
+      pqe::PreparedQuery::Prepare(store, low);
   ASSERT_TRUE(all.ok());
   ASSERT_TRUE(prefix.ok());
+  EXPECT_FALSE(all.value().lifted());
+  EXPECT_FALSE(prefix.value().lifted());
   EXPECT_EQ(cache.misses(), 2);
 
   const auto requery = [&](pqe::PreparedQuery& handle,
@@ -454,20 +462,20 @@ TEST(StorageInvalidationTest, StructuralMutationRecompilesOnlyChangedLineages) {
     EXPECT_EQ(cache.misses() - before, misses) << step;
   };
 
-  // Erasing R(3) (fact 6) moves S(3, 1000) from 7 to 6: the chain
+  // Erasing R(3) (fact 6) moves S(3, 1000) from 7 to 6: the no-edge
   // lineage changed and compiles; facts 0-2 kept their numbers, so the
   // low lineage is the one already compiled.
   ASSERT_TRUE(store->Erase(ChainR(3)).ok());
-  requery(all.value(), chain, 1, "after Erase");
+  requery(all.value(), no_edge, 1, "after Erase");
   requery(prefix.value(), low, 0, "after Erase");
   EXPECT_EQ(all.value().rebuilds(), 1);
   EXPECT_EQ(prefix.value().rebuilds(), 1);
   EXPECT_EQ(all.value().incremental_refreshes(), 0);
 
   // S(1, 1002) is appended as fact 7 and joins hub 1's disjunct of the
-  // chain lineage.
+  // no-edge lineage.
   ASSERT_TRUE(store->Insert(ChainS(1, 1002), 0.5).ok());
-  requery(all.value(), chain, 1, "after Insert");
+  requery(all.value(), no_edge, 1, "after Insert");
   requery(prefix.value(), low, 0, "after Insert");
   EXPECT_EQ(all.value().rebuilds(), 2);
   EXPECT_EQ(prefix.value().rebuilds(), 2);
@@ -478,12 +486,11 @@ TEST(StorageInvalidationTest, ProbabilityUpdateKeepsCircuitRefreshesAnswer) {
   kc::CompiledQueryCache& cache = kc::GlobalCompiledQueryCache();
   cache.Clear();
   std::shared_ptr<TiStore> store = ChainStore(5);
-  logic::Formula sentence = ChainQuery(store->schema());
-  pqe::PreparedQuery::Options options;
-  options.allow_lifted = false;
+  logic::Formula sentence = NoEdgeQuery(store->schema());
   StatusOr<pqe::PreparedQuery> prepared =
-      pqe::PreparedQuery::Prepare(store, sentence, options);
+      pqe::PreparedQuery::Prepare(store, sentence);
   ASSERT_TRUE(prepared.ok());
+  EXPECT_FALSE(prepared.value().lifted());
   EXPECT_EQ(cache.misses(), 1);
 
   const uint64_t structure_before = store->structure_generation();
@@ -518,11 +525,11 @@ TEST(StorageInvalidationTest, ProbabilityUpdateKeepsCircuitRefreshesAnswer) {
 }
 
 /// A seeded interleaving of Insert, Erase and UpdateProbability on a
-/// store of at most 12 facts. After every step, circuit-mode prepared
-/// handles and QueryProbability's circuit rung on a view taken up front
-/// agree with brute force for a quantified query over every fact, a
-/// query with negation, and a quantifier-free query over facts 0-2,
-/// which no step erases. The last one's lineage never changes, so its
+/// store of at most 12 facts. After every step, prepared handles and
+/// QueryProbability on a view taken up front agree with brute force for
+/// a quantified query over every fact, a query with negation, and a
+/// quantifier-free query over facts 0-2, which no step erases; none of
+/// them is a CQ, so both take the circuit rung. The last one's lineage never changes, so its
 /// rebuild after a structural step hits the artifact cache.
 TEST(StorageInvalidationTest, MutationSequenceMatchesBruteForce) {
   kc::GlobalCompiledQueryCache().Clear();
@@ -553,15 +560,12 @@ TEST(StorageInvalidationTest, MutationSequenceMatchesBruteForce) {
         "exists x. R(x) & !(exists y. S(x, y))",
         "R(0) & !S(0, 1) | R(1)"}) {
     logic::Formula sentence = logic::ParseSentence(text, schema).value();
-    pqe::PreparedQuery::Options options;
-    options.allow_lifted = false;
     StatusOr<pqe::PreparedQuery> handle =
-        pqe::PreparedQuery::Prepare(store, sentence, options);
+        pqe::PreparedQuery::Prepare(store, sentence);
     ASSERT_TRUE(handle.ok()) << text;
+    EXPECT_FALSE(handle.value().lifted()) << text;
     standing.push_back({std::move(sentence), std::move(handle).value()});
   }
-  pqe::QueryOptions circuit_rung;
-  circuit_rung.lifted = false;
 
   Pcg32 rng(0x5eb1);
   int structural_steps = 0;
@@ -608,8 +612,9 @@ TEST(StorageInvalidationTest, MutationSequenceMatchesBruteForce) {
             << label << ": the unchanged lineage recompiled";
       }
       StatusOr<pqe::QueryAnswer> served = pqe::QueryProbability(
-          view.value(), standing[q].sentence, circuit_rung);
+          view.value(), standing[q].sentence, pqe::QueryOptions{});
       ASSERT_TRUE(served.ok()) << label;
+      EXPECT_FALSE(served.value().lifted) << label;
       EXPECT_NEAR(served.value().probability, truth, 1e-12)
           << label << ", query " << q;
     }
@@ -657,13 +662,17 @@ TEST(StorageInvalidationTest, ConcurrentReaders) {
   std::shared_ptr<TiStore> store = ChainStore(32);
   const StatusOr<pdb::TiPdbD> view = pdb::TiPdbD::FromStore(store);
   ASSERT_TRUE(view.ok());
-  const logic::Formula sentence = ChainQuery(store->schema());
-  pqe::QueryOptions circuit_rung;
-  circuit_rung.lifted = false;
-  const double expected =
-      pqe::QueryProbability(view.value(), sentence, circuit_rung)
-          .value()
-          .probability;
+  // A self-join, so QueryProbability takes the circuit rung.
+  const logic::Formula sentence =
+      logic::ParseSentence("exists x y z. R(x) & S(x, y) & S(z, y)",
+                           store->schema())
+          .value();
+  const pqe::QueryOptions circuit_rung;
+  const StatusOr<pqe::QueryAnswer> first =
+      pqe::QueryProbability(view.value(), sentence, circuit_rung);
+  ASSERT_TRUE(first.ok());
+  ASSERT_FALSE(first.value().lifted);
+  const double expected = first.value().probability;
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&, t] {
