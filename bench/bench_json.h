@@ -19,6 +19,17 @@
 // ns_per_op is in nanoseconds whatever unit the benchmark displays in
 // (->Unit(benchmark::kMillisecond) changes the console, not the file).
 //
+// Each fresh row also records the host it was measured on, under the
+// field names of perfbench's META line:
+//
+//   "host": {"nproc": 4, "cpu_model": "...", "compiler": "g++ 12.2.0",
+//            "cxx_flags": " -O2 -DNDEBUG", "build_type": "Release",
+//            "ipdb_observability": "ON", "source_id": "<git sha>"}
+//
+// The build fields come from the CMake configure (bench/targets.cmake);
+// source_id is the git sha at configure time, "unknown" outside a git
+// checkout. Recorded rows keep what they carry.
+//
 // ResultLine is the single place that knows this schema: per-benchmark
 // user counters (state.counters, e.g. pqe_bench's artifact_hits) ride
 // along in each row instead of being dropped on the floor. Re-running a
@@ -37,6 +48,7 @@
 // Both accept `--flag=value` and `--flag value`.
 
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
@@ -48,8 +60,65 @@
 
 #include "obs/obs.h"
 
+// Set per bench target by bench/targets.cmake.
+#ifndef IPDB_BENCH_CXX_FLAGS
+#define IPDB_BENCH_CXX_FLAGS "unknown"
+#endif
+#ifndef IPDB_BENCH_BUILD_TYPE
+#define IPDB_BENCH_BUILD_TYPE "unknown"
+#endif
+#ifndef IPDB_BENCH_SOURCE_ID
+#define IPDB_BENCH_SOURCE_ID "unknown"
+#endif
+
 namespace ipdb {
 namespace bench_json {
+
+// `text` as a JSON string literal.
+inline std::string Quoted(const std::string& text) {
+  std::string out = "\"";
+  for (const char c : text) {
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      out += ' ';
+    } else {
+      out += c;
+    }
+  }
+  return out + '"';
+}
+
+// The "host" object every fresh row carries (see the schema above).
+inline const std::string& HostJson() {
+  static const std::string json = [] {
+    std::string cpu_model = "unknown";
+    std::ifstream cpuinfo("/proc/cpuinfo");
+    for (std::string line; std::getline(cpuinfo, line);) {
+      if (line.rfind("model name", 0) == 0) {
+        const size_t colon = line.find(": ");
+        cpu_model = colon == std::string::npos ? line : line.substr(colon + 2);
+        break;
+      }
+    }
+#if defined(IPDB_OBSERVABILITY_DISABLED)
+    const char* observability = "OFF";
+#else
+    const char* observability = "ON";
+#endif
+    std::ostringstream host;
+    host << "{\"nproc\": " << sysconf(_SC_NPROCESSORS_ONLN)
+         << ", \"cpu_model\": " << Quoted(cpu_model)
+         << ", \"compiler\": " << Quoted("g++ " __VERSION__)
+         << ", \"cxx_flags\": " << Quoted(IPDB_BENCH_CXX_FLAGS)
+         << ", \"build_type\": " << Quoted(IPDB_BENCH_BUILD_TYPE)
+         << ", \"ipdb_observability\": " << Quoted(observability)
+         << ", \"source_id\": " << Quoted(IPDB_BENCH_SOURCE_ID) << '}';
+    return host.str();
+  }();
+  return json;
+}
 
 // The one place that knows the per-result schema.
 inline std::string ResultLine(
@@ -68,7 +137,7 @@ inline std::string ResultLine(
     }
     line << '}';
   }
-  line << '}';
+  line << ", \"host\": " << HostJson() << '}';
   return line.str();
 }
 

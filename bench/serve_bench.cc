@@ -23,8 +23,13 @@
 //    "iterations": <completed>, "counters": {"p50_ms": ..,
 //    "p99_ms": .., "qps": .., "shed_rate": .., "degraded_rate": ..,
 //    "fallback_rate": .., "lifted_rate": .., "cache_hits": ..,
-//    "cache_misses": .., "accounting_drift": 0, "slo_breaching": ..,
-//    "label_drift": 0}}
+//    "cache_misses": .., "prepared_hits": .., "prepared_entries": ..,
+//    "accounting_drift": 0, "slo_breaching": .., "label_drift": 0},
+//    "host": {..}}
+//
+// prepared_hits counts the row's submissions whose text found its
+// tenant's prepared query (no parse, no compile); prepared_entries is the
+// tenants' prepared-query residency after the row.
 //
 // slo_breaching counts tenants whose STATS burn-rate state reads
 // "breaching" right after the row (the overload tenant carries an
@@ -58,6 +63,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_json.h"
@@ -122,9 +128,24 @@ struct LoadPoint {
   int64_t degraded = 0;   // admitted on the sample-only rung
   int64_t fallback = 0;   // answers below kExact
   int64_t lifted = 0;     // answers from the safe-plan rung
+  int64_t prepared_hits = 0;  // submissions answered by a prepared query
   std::vector<int64_t> latencies_ns;
   int64_t wall_ns = 1;
 };
+
+const char* const kTenants[] = {"alpha", "beta", "gamma"};
+
+/// Prepared-query hits and resident handles summed over the tenants.
+std::pair<int64_t, int64_t> PreparedTotals(const server::Engine& engine) {
+  int64_t hits = 0;
+  int64_t entries = 0;
+  for (const char* tenant : kTenants) {
+    const server::TenantUsage usage = engine.Usage(tenant).value();
+    hits += usage.prepared_hits;
+    entries += usage.prepared_entries;
+  }
+  return {hits, entries};
+}
 
 double PercentileMs(std::vector<int64_t>* latencies, double q) {
   if (latencies->empty()) return 0.0;
@@ -158,6 +179,7 @@ LoadPoint RunClosed(server::Engine* engine, int clients, int per_client) {
   point.op = "closed/" + std::to_string(clients);
   const std::vector<std::string> queries = Workload();
   std::mutex mu;
+  const int64_t prepared_before = PreparedTotals(*engine).first;
   const Clock::time_point start = Clock::now();
   std::vector<std::thread> threads;
   threads.reserve(static_cast<size_t>(clients));
@@ -176,6 +198,7 @@ LoadPoint RunClosed(server::Engine* engine, int clients, int per_client) {
   for (std::thread& t : threads) t.join();
   point.offered = static_cast<int64_t>(clients) * per_client;
   point.wall_ns = std::max<int64_t>(1, ElapsedNs(start));
+  point.prepared_hits = PreparedTotals(*engine).first - prepared_before;
   return point;
 }
 
@@ -185,15 +208,18 @@ LoadPoint RunOpenOverload(server::Engine* engine, int submissions) {
   LoadPoint point;
   point.op = "open/overload";
   std::mutex mu;
+  const int64_t prepared_before = PreparedTotals(*engine).first;
   const Clock::time_point start = Clock::now();
   std::vector<std::shared_ptr<server::PendingQuery>> pendings;
   pendings.reserve(static_cast<size_t>(submissions));
-  // The overload tenant's compile rung is capped, so every admitted
-  // query Monte Carlos for a while: arrivals outpace service by
-  // construction, whatever the host's core count.
+  // The overload tenant's compile rung is capped, and no tenant ever
+  // compiled its query (a resident circuit would answer past the cap,
+  // from the tenant's prepared query in microseconds), so every admitted
+  // query grounds, trips the cap and Monte Carlos for a while: arrivals
+  // outpace service by construction, whatever the host's core count.
   for (int i = 0; i < submissions; ++i) {
-    StatusOr<std::shared_ptr<server::PendingQuery>> pending =
-        engine->Submit("gamma", "db", "exists x y. R(x) & S(x, y) & T(y)");
+    StatusOr<std::shared_ptr<server::PendingQuery>> pending = engine->Submit(
+        "gamma", "db", "exists x y. R(x) & S(x, y) & !T(y)");
     if (pending.ok()) {
       pendings.push_back(pending.value());
     } else {
@@ -205,6 +231,7 @@ LoadPoint RunOpenOverload(server::Engine* engine, int submissions) {
   }
   point.offered = submissions;
   point.wall_ns = std::max<int64_t>(1, ElapsedNs(start));
+  point.prepared_hits = PreparedTotals(*engine).first - prepared_before;
   return point;
 }
 
@@ -288,6 +315,9 @@ std::string RowFor(server::Engine* engine, LoadPoint point) {
        {"lifted_rate", completed > 0 ? point.lifted / completed : 0.0},
        {"cache_hits", cache_hits},
        {"cache_misses", cache_misses},
+       {"prepared_hits", static_cast<double>(point.prepared_hits)},
+       {"prepared_entries",
+        static_cast<double>(PreparedTotals(*engine).second)},
        {"accounting_drift", drift},
        {"slo_breaching", SloBreachingTenants(*engine)},
        {"label_drift", LatencyLabelDrift()}});

@@ -21,7 +21,9 @@
 //               pipeline on the same store.
 //
 // BM_FindFact prices the point lookup every journaled mutation and every
-// grounded atom pays; ROADMAP holds it at 500 ns.
+// grounded atom pays; ROADMAP holds it at 500 ns. BM_EraseFact prices a
+// structural churn step (Erase, then Insert of the same fact) on the
+// same shape.
 
 #include <benchmark/benchmark.h>
 #include <malloc.h>
@@ -174,32 +176,39 @@ void BM_GroundColumnar(benchmark::State& state) {
 }
 BENCHMARK(BM_GroundColumnar)->Unit(benchmark::kMillisecond);
 
-/// Point lookups on n facts in the shape of perfbench's ingest_refresh
-/// instance: per symbol key one R(x) and 19 S(x, y) facts. Each
-/// iteration resolves one stored fact to its global index: dictionary
-/// probes, then one narrowing of the relation's sorted run.
-void BM_FindFact(benchmark::State& state) {
-  const int keys = static_cast<int>(state.range(0) / 20);
-  const auto key = [](int x) {
-    char buffer[16];
-    std::snprintf(buffer, sizeof buffer, "k%06d", x);
-    return rel::Value::Symbol(buffer);
-  };
-  const auto fact = [&key](int x, int d) {
-    if (d == 19) return rel::Fact(0, {key(x)});
-    return rel::Fact(1, {key(x), rel::Value::Int((x * 7 + d * 13) % 2000)});
-  };
+/// Fact d of symbol key x in the shape of perfbench's ingest_refresh
+/// instance: per key one R(x) (d = 19) and 19 S(x, y) facts.
+rel::Fact IngestFact(int x, int d) {
+  char buffer[16];
+  std::snprintf(buffer, sizeof buffer, "k%06d", x);
+  const rel::Value key = rel::Value::Symbol(buffer);
+  if (d == 19) return rel::Fact(0, {key});
+  return rel::Fact(1, {key, rel::Value::Int((x * 7 + d * 13) % 2000)});
+}
+
+/// The ingest_refresh-shaped store of `keys` keys (20 facts each).
+std::shared_ptr<storage::TiStore> IngestStore(int keys) {
   storage::TiStore::Builder builder(rel::Schema({{"R", 1}, {"S", 2}}));
   for (int x = 0; x < keys; ++x) {
-    for (int d = 0; d < 20; ++d) builder.Add(fact(x, d), PairProb(x + d));
+    for (int d = 0; d < 20; ++d) {
+      builder.Add(IngestFact(x, d), PairProb(x + d));
+    }
   }
-  std::shared_ptr<storage::TiStore> store = builder.Finish().value();
+  return builder.Finish().value();
+}
+
+/// Point lookups on n facts of the ingest_refresh shape. Each iteration
+/// resolves one stored fact to its global index: dictionary probes, then
+/// one narrowing of the relation's sorted run.
+void BM_FindFact(benchmark::State& state) {
+  const int keys = static_cast<int>(state.range(0) / 20);
+  std::shared_ptr<storage::TiStore> store = IngestStore(keys);
   // A fixed spread of probes, so successive lookups touch unrelated
   // parts of the run.
   std::vector<rel::Fact> probes;
   for (uint64_t i = 0; i < 4096; ++i) {
-    probes.push_back(fact(static_cast<int>(i * 2654435761u % keys),
-                          static_cast<int>(i % 20)));
+    probes.push_back(IngestFact(static_cast<int>(i * 2654435761u % keys),
+                                static_cast<int>(i % 20)));
   }
   size_t next = 0;
   for (auto _ : state) {
@@ -214,6 +223,33 @@ void BM_FindFact(benchmark::State& state) {
   state.counters["facts"] = static_cast<double>(store->num_facts());
 }
 BENCHMARK(BM_FindFact)->Arg(100000);
+
+/// A structural churn step on n facts of the ingest_refresh shape: erase
+/// an S fact of one of the last keys, near the end of the global order,
+/// then insert it again (it returns at the end). Erase renumbers what
+/// moved: the erased relation's rows above it, the global indices above
+/// it, and the relation's sorted run.
+void BM_EraseFact(benchmark::State& state) {
+  const int keys = static_cast<int>(state.range(0) / 20);
+  std::shared_ptr<storage::TiStore> store = IngestStore(keys);
+  std::vector<std::pair<rel::Fact, double>> churn;
+  for (int x = keys - 4; x < keys; ++x) {
+    for (int d = 0; d < 19; ++d) {
+      churn.emplace_back(IngestFact(x, d), PairProb(x + d));
+    }
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    const auto& [fact, prob] = churn[next];
+    if (!store->Erase(fact).ok() || !store->Insert(fact, prob).ok()) {
+      state.SkipWithError("erase or insert failed");
+      return;
+    }
+    next = (next + 1) % churn.size();
+  }
+  state.counters["facts"] = static_cast<double>(store->num_facts());
+}
+BENCHMARK(BM_EraseFact)->Arg(100000)->Unit(benchmark::kMicrosecond);
 
 /// Chain store for the re-query rows: n ≈ 2·hubs facts.
 std::shared_ptr<storage::TiStore> RequeryStore(int hubs) {

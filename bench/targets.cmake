@@ -2,9 +2,32 @@
 # ${CMAKE_BINARY_DIR}/bench contains ONLY the runnable binaries
 # (`for b in build/bench/*; do $b; done` runs everything cleanly).
 
+# The build half of the host stamp on every bench_json row (see
+# bench/bench_json.h): flags, build type and the git sha at configure
+# time.
+execute_process(
+  COMMAND git rev-parse HEAD
+  WORKING_DIRECTORY ${CMAKE_SOURCE_DIR}
+  OUTPUT_VARIABLE IPDB_BENCH_SOURCE_ID
+  OUTPUT_STRIP_TRAILING_WHITESPACE
+  ERROR_QUIET
+  RESULT_VARIABLE ipdb_bench_git_result)
+if(NOT ipdb_bench_git_result EQUAL 0 OR IPDB_BENCH_SOURCE_ID STREQUAL "")
+  set(IPDB_BENCH_SOURCE_ID "unknown")
+endif()
+string(TOUPPER "${CMAKE_BUILD_TYPE}" ipdb_bench_type_upper)
+
+function(ipdb_bench_host_definitions target)
+  target_compile_definitions(${target} PRIVATE
+    IPDB_BENCH_CXX_FLAGS="${CMAKE_CXX_FLAGS} ${CMAKE_CXX_FLAGS_${ipdb_bench_type_upper}}"
+    IPDB_BENCH_BUILD_TYPE="${CMAKE_BUILD_TYPE}"
+    IPDB_BENCH_SOURCE_ID="${IPDB_BENCH_SOURCE_ID}")
+endfunction()
+
 function(ipdb_add_bench name)
   add_executable(${name} ${CMAKE_SOURCE_DIR}/bench/${name}.cc)
   target_link_libraries(${name} ipdb)
+  ipdb_bench_host_definitions(${name})
   set_target_properties(${name} PROPERTIES
     RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
 endfunction()

@@ -25,7 +25,8 @@
 # the WAL append overhead at <= 15% of a bare mutation), the query
 # service under closed-loop load (serve_bench: p99
 # latency budget at 16 clients, bounded shed rates, zero cross-tenant
-# cache-accounting drift, zero labeled-metric drift, SLO burn-rate
+# cache-accounting drift, prepared-query hits on repeated texts, zero
+# labeled-metric drift, SLO burn-rate
 # breaching exactly on the overload row, and the daemon QUERY -> TRACE
 # -> STATS round trip), per-request span-tree connectivity on the serve
 # trace artifact (>= 95% of QUERYs reassemble into one connected tree
@@ -378,7 +379,10 @@ echo "=== query-service load gates (Release, serve_bench) ==="
 #    degrades gracefully instead of collapsing or silently queueing;
 #  * no row reports non-shed errors;
 #  * accounting_drift == 0: per-tenant accounting of the shared
-#    artifact cache still partitions the resident set exactly;
+#    artifact cache still partitions the resident set exactly, with the
+#    tenants' prepared queries resident;
+#  * closed/16 prepared_hits > 0: repeated texts are answered by their
+#    tenant's prepared query, skipping parse, compile and grounding;
 #  * label_drift == 0: the per-tenant serve.latency_ns family sums
 #    exactly to the unlabeled aggregate on every row;
 #  * slo_breaching: the burn-rate engine stays quiet through the
@@ -426,6 +430,8 @@ for op in load_rows:
          counters["label_drift"] == 0.0)
 hits = rows["closed/16"]["cache_hits"]
 gate(f"closed/16 artifact-cache hits = {hits:.0f} (> 0)", hits > 0)
+prepared = rows["closed/16"]["prepared_hits"]
+gate(f"closed/16 prepared-query hits = {prepared:.0f} (> 0)", prepared > 0)
 
 for op in ("closed/1", "closed/4", "closed/16"):
     breaching = rows[op]["slo_breaching"]

@@ -337,6 +337,9 @@ StatusOr<SnapshotResult> SnapshotCodec::Decode(const std::string& bytes) {
     store->row_global_[r].assign(
         static_cast<size_t>(store->tables_[r].num_rows()), -1);
   }
+  // Rows and global indices both follow insertion order (TiStore::Erase
+  // relies on it): each relation's rows appear in the index in row order.
+  std::vector<uint32_t> next_row(num_relations, 0);
   for (uint64_t i = 0; i < num_facts; ++i) {
     uint32_t rel_id = 0;
     uint32_t row = 0;
@@ -349,10 +352,10 @@ StatusOr<SnapshotResult> SnapshotCodec::Decode(const std::string& bytes) {
       return IPDB_STATUS(StatusCode::kDataLoss)
              << "snapshot global index entry " << i << " out of range";
     }
-    if (store->row_global_[rel_id][row] != -1) {
+    if (row != next_row[rel_id]++) {
       return IPDB_STATUS(StatusCode::kDataLoss)
              << "snapshot global index maps row (" << rel_id << ", " << row
-             << ") twice";
+             << ") out of row order";
     }
     store->row_global_[rel_id][row] = static_cast<int64_t>(i);
     store->fact_loc_.emplace_back(static_cast<rel::RelationId>(rel_id), row);

@@ -93,10 +93,28 @@ void CompiledQueryCache::EvictForCapacityLocked() {
   EvictLocked(std::prev(lru_.end()));
 }
 
+std::shared_ptr<const CompiledQuery> CompiledQueryCache::HitLocked(
+    const Key& key, CacheOwner owner) {
+  auto it = index_.find(key);
+  if (it == index_.end()) return nullptr;
+  lru_.splice(lru_.begin(), lru_, it->second);
+  hits_.fetch_add(1, std::memory_order_relaxed);
+  owners_[owner].hits += 1;
+  IPDB_OBS_COUNT("kc.artifact_cache.hits", 1);
+  return it->second->artifact;
+}
+
+std::shared_ptr<const CompiledQuery> CompiledQueryCache::Find(uint64_t hi,
+                                                              uint64_t lo) {
+  const CacheOwner owner = CurrentCacheOwner();
+  std::lock_guard<std::mutex> lock(mutex_);
+  return HitLocked(Key{hi, lo}, owner);
+}
+
 StatusOr<std::shared_ptr<const CompiledQuery>>
 CompiledQueryCache::GetOrCompile(pqe::Lineage* lineage, pqe::NodeId root,
-                                 bool* was_hit,
-                                 const CompileOptions& options) {
+                                 bool* was_hit, const CompileOptions& options,
+                                 std::pair<uint64_t, uint64_t>* fingerprint) {
   if (lineage == nullptr) return InvalidArgumentError("null lineage");
   if (root < 0 || root >= lineage->size()) {
     return InvalidArgumentError("lineage root out of range");
@@ -104,16 +122,13 @@ CompiledQueryCache::GetOrCompile(pqe::Lineage* lineage, pqe::NodeId root,
   IPDB_FAULT_POINT("kc.cache.lookup");
   const CacheOwner owner = CurrentCacheOwner();
   const Key key = LineageFingerprint(*lineage, root);
+  if (fingerprint != nullptr) *fingerprint = key;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = index_.find(key);
-    if (it != index_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second);
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      owners_[owner].hits += 1;
-      IPDB_OBS_COUNT("kc.artifact_cache.hits", 1);
+    std::shared_ptr<const CompiledQuery> hit = HitLocked(key, owner);
+    if (hit != nullptr) {
       if (was_hit != nullptr) *was_hit = true;
-      return it->second->artifact;
+      return hit;
     }
   }
   // Compile outside the lock: compilation can be expensive and other

@@ -78,9 +78,22 @@ class CompiledQueryCache {
   /// starts clean. Note a cache hit can satisfy a query whose budget
   /// would have rejected compiling it — the artifact is already paid
   /// for, which is the point of the cache.
+  ///
+  /// `fingerprint`, if non-null, receives the lineage's 128-bit key, which
+  /// a caller can keep instead of the artifact and hand to Find later.
   StatusOr<std::shared_ptr<const CompiledQuery>> GetOrCompile(
       pqe::Lineage* lineage, pqe::NodeId root, bool* was_hit = nullptr,
-      const CompileOptions& options = {});
+      const CompileOptions& options = {},
+      std::pair<uint64_t, uint64_t>* fingerprint = nullptr);
+
+  /// The resident artifact with the given 128-bit lineage fingerprint, or
+  /// null. Lets a caller that kept a fingerprint fetch its circuit without
+  /// grounding again (pqe::PreparedQuery does, while its store's structure
+  /// generation is unchanged). A resident key is counted, charged to
+  /// CurrentCacheOwner() and moved to the LRU front exactly as a
+  /// GetOrCompile hit is; an absent key counts nothing, so the caller's
+  /// GetOrCompile after a null return is the query's one counted probe.
+  std::shared_ptr<const CompiledQuery> Find(uint64_t hi, uint64_t lo);
 
   /// Drops the artifact with the given 128-bit lineage fingerprint, if
   /// resident; true when something was erased. The library itself never
@@ -151,6 +164,10 @@ class CompiledQueryCache {
     int64_t max_entries = 0;  // 0 = uncapped
   };
 
+  /// The hit path shared by GetOrCompile and Find: touches, counts and
+  /// charges `owner` for a resident `key`; null when `key` is absent.
+  std::shared_ptr<const CompiledQuery> HitLocked(const Key& key,
+                                                 CacheOwner owner);
   /// Removes one entry, updating global and per-owner accounting.
   void EvictLocked(std::list<Entry>::iterator it);
   /// Evicts `owner`'s least-recently-used entry; false when the owner

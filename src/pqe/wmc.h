@@ -1,7 +1,9 @@
 #ifndef IPDB_PQE_WMC_H_
 #define IPDB_PQE_WMC_H_
 
+#include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "kc/compile.h"
@@ -49,24 +51,26 @@ StatusOr<double> ComputeProbability(Lineage* lineage, NodeId root,
                                     const ExecutionBudget* budget = nullptr);
 
 /// The circuit rung's answer: the compiled circuit of the query's
-/// lineage, whether the artifact cache already held it, and its
-/// probability on the store's marginals when it was evaluated.
+/// lineage, whether the artifact cache already held it, the lineage's
+/// fingerprint (the cache key, which kc::CompiledQueryCache::Find takes),
+/// and the circuit's probability on the store's marginals.
 struct CircuitAnswer {
   std::shared_ptr<const kc::CompiledQuery> artifact;
   bool cache_hit = false;
+  std::pair<uint64_t, uint64_t> fingerprint{0, 0};
   double probability = 0.0;
 };
 
-/// The circuit rung, shared by QueryProbability's exact rung and
-/// PreparedQuery: grounds `formula` on `store` (span pqe.ground), fetches
-/// the circuit of its lineage from kc::GlobalCompiledQueryCache(),
-/// compiling on a miss and freeing the lineage (span pqe.cache_probe), and
-/// evaluates it with EvaluateOnStore (span pqe.evaluate). The cache key is
-/// the lineage over fact indices, so a query grounded again after
-/// Insert/Erase hits whenever its facts kept their numbers. `budget`
-/// governs every phase; a trip returns its error. Callers that price or
-/// test the circuit rung on a query the lifted rung would answer call
-/// this directly.
+/// The cold half of the circuit rung, which PreparedQuery runs when it
+/// holds no current fingerprint: grounds `formula` on `store` (span
+/// pqe.ground), fetches the circuit of its lineage from
+/// kc::GlobalCompiledQueryCache(), compiling on a miss and freeing the
+/// lineage (span pqe.cache_probe), and evaluates it with EvaluateOnStore
+/// (span pqe.evaluate). The cache key is the lineage over fact indices, so
+/// a query grounded again after Insert/Erase hits whenever its facts kept
+/// their numbers. `budget` governs every phase; a trip returns its error.
+/// Callers that price or test the circuit rung on a query the lifted rung
+/// would answer call this directly.
 StatusOr<CircuitAnswer> GroundCompileEvaluate(
     const storage::TiStore& store, const logic::GuardedFormula& formula,
     const ExecutionBudget* budget);
@@ -83,7 +87,7 @@ StatusOr<double> EvaluateOnStore(const kc::CompiledQuery& artifact,
 /// are answered by the lifted safe-plan engine (safe_plan.h, linear-ish
 /// in the data); everything else grounds and runs compiled d-DNNF
 /// evaluation via the global artifact cache (see kc/cache.h). The query
-/// alone picks the rung.
+/// alone picks the rung. Defined in prepared.cc, with the ladder.
 StatusOr<double> QueryProbability(const pdb::TiPdb<double>& ti,
                                   const logic::Formula& sentence,
                                   WmcStats* stats = nullptr);
@@ -153,8 +157,10 @@ struct QueryOptions {
 ///                 d-DNNF (exact);
 ///   3. fallback — a certified Monte Carlo interval (quality kInterval).
 ///
-/// The sentence is compiled once, into the logic::GuardedFormula that
-/// both exact rungs read. Every rung runs under options.budget; a cap or
+/// The sentence is compiled once, into a throwaway pqe::PreparedQuery
+/// (prepared.h) inside span pqe.lifted, and answered by the handle's
+/// ladder, the one every served query runs. Every rung runs under
+/// options.budget; a cap or
 /// deadline trip degrades to the next rung instead of failing — a
 /// bounded answer now beats an exact answer never. (A budget trip
 /// *inside* the lifted rung skips the circuit rung too: the same deadline
@@ -169,6 +175,15 @@ StatusOr<QueryAnswer> QueryProbability(const pdb::TiPdb<double>& ti,
                                        const logic::Formula& sentence,
                                        const QueryOptions& options,
                                        WmcStats* stats = nullptr);
+
+namespace internal {
+/// Adds a per-query WmcStats delta to `stats` (when given) and to the
+/// cumulative pqe.wmc.* registry counters, so every exact rung feeds the
+/// same process-wide tallies the public struct reports per call.
+void ReportWmcStats(const WmcStats& delta, WmcStats* stats);
+/// A compilation trace in the WmcStats vocabulary.
+WmcStats TraceOf(const kc::CompileStats& trace, bool artifact_cache_hit);
+}  // namespace internal
 
 /// Reference implementation by brute-force enumeration of all 2^n worlds
 /// (n <= 20): used to validate the WMC path in tests.

@@ -51,7 +51,49 @@ ExecutionBudget::Clock::time_point TimePointFromNs(int64_t ns) {
           std::chrono::nanoseconds(ns)));
 }
 
+/// A tenant's prepared-query key: the instance name, length-prefixed so
+/// that no (instance, text) pair can spell another's key, then the text.
+std::string PreparedKey(const std::string& instance,
+                        const std::string& query) {
+  std::string key = std::to_string(instance.size());
+  key.reserve(key.size() + 1 + instance.size() + query.size());
+  key += ':';
+  key += instance;
+  key += query;
+  return key;
+}
+
 }  // namespace
+
+std::shared_ptr<pqe::PreparedQuery> Engine::TenantState::FindPrepared(
+    std::string_view key) {
+  std::lock_guard<std::mutex> lock(prepared_mu);
+  auto it = prepared_index.find(key);
+  if (it == prepared_index.end()) {
+    prepared_misses.fetch_add(1, std::memory_order_relaxed);
+    return nullptr;
+  }
+  prepared.splice(prepared.begin(), prepared, it->second);
+  prepared_hits.fetch_add(1, std::memory_order_relaxed);
+  return it->second->handle;
+}
+
+std::shared_ptr<pqe::PreparedQuery> Engine::TenantState::InsertPrepared(
+    std::string key, std::shared_ptr<pqe::PreparedQuery> handle) {
+  std::lock_guard<std::mutex> lock(prepared_mu);
+  if (prepared_index.count(key) != 0) return nullptr;
+  prepared.push_front(Prepared{std::move(key), std::move(handle)});
+  prepared_index.emplace(prepared.front().key, prepared.begin());
+  std::shared_ptr<pqe::PreparedQuery> evicted;
+  if (prepared.size() > static_cast<size_t>(kPreparedPerTenant)) {
+    evicted = std::move(prepared.back().handle);
+    prepared_index.erase(prepared.back().key);
+    prepared.pop_back();
+  }
+  prepared_entries.store(static_cast<int64_t>(prepared.size()),
+                         std::memory_order_relaxed);
+  return evicted;
+}
 
 const StatusOr<QueryResult>& PendingQuery::Wait() {
   std::unique_lock<std::mutex> lock(mu_);
@@ -253,20 +295,29 @@ StatusOr<std::shared_ptr<PendingQuery>> Engine::Submit(
     obs::TraceStore::Global().Finish(ctx.trace_id);
   };
 
-  // Parse outside the registry lock: parse cost is per-query, and a
-  // malformed query must come back as a Status, never take the engine
-  // down.
-  StatusOr<logic::Formula> sentence = [&]() {
-    IPDB_OBS_SPAN("serve.parse", "serve");
-    return logic::ParseSentence(query, inst->schema());
-  }();
-  if (!sentence.ok()) {
-    tenant_state->errors.fetch_add(1, std::memory_order_relaxed);
-    tenant_state->series->RecordServed(obs::MonotonicNowNs(), 0, /*ok=*/false,
-                                       /*degraded=*/false);
-    IPDB_OBS_COUNT("serve.parse_errors", 1);
-    finish_request();
-    return sentence.status();
+  // The tenant's prepared handle for this text. A miss parses outside the
+  // registry lock (a malformed query must come back as a Status, never
+  // take the engine down) and leaves the rest to the worker: it compiles
+  // the handle, so the plan it walks is built on its own core, and
+  // inserts it under the key once it has answered.
+  std::string prepared_key = PreparedKey(instance, query);
+  std::shared_ptr<pqe::PreparedQuery> handle =
+      tenant_state->FindPrepared(prepared_key);
+  logic::Formula parsed;
+  if (handle == nullptr) {
+    StatusOr<logic::Formula> sentence = [&]() {
+      IPDB_OBS_SPAN("serve.parse", "serve");
+      return logic::ParseSentence(query, inst->schema());
+    }();
+    if (!sentence.ok()) {
+      tenant_state->errors.fetch_add(1, std::memory_order_relaxed);
+      tenant_state->series->RecordServed(obs::MonotonicNowNs(), 0,
+                                         /*ok=*/false, /*degraded=*/false);
+      IPDB_OBS_COUNT("serve.parse_errors", 1);
+      finish_request();
+      return sentence.status();
+    }
+    parsed = std::move(sentence).value();
   }
 
   // Admission: the tenant's own in-flight quota first (a noisy tenant
@@ -324,13 +375,14 @@ StatusOr<std::shared_ptr<PendingQuery>> Engine::Submit(
 
   auto pending = std::make_shared<PendingQuery>();
   pending->trace_id_ = ctx.trace_id;
-  logic::Formula parsed = std::move(sentence.value());
   const int64_t admitted_ns = NowNs();
   // Post runs under trace_scope, so the pool captures ctx (span_id =
   // root) into the task closure and Execute inherits it on the worker.
-  pool_->Post([this, tenant_state, inst, parsed, degraded, submitted_ns,
-               admitted_ns, pending]() mutable {
-    Execute(tenant_state, std::move(inst), std::move(parsed), degraded,
+  pool_->Post([this, tenant_state, inst, handle = std::move(handle), parsed,
+               prepared_key = std::move(prepared_key), degraded,
+               submitted_ns, admitted_ns, pending]() mutable {
+    Execute(tenant_state, std::move(inst), std::move(handle),
+            std::move(parsed), std::move(prepared_key), degraded,
             submitted_ns, admitted_ns, std::move(pending));
   });
   return pending;
@@ -338,8 +390,9 @@ StatusOr<std::shared_ptr<PendingQuery>> Engine::Submit(
 
 void Engine::Execute(TenantState* tenant,
                      std::shared_ptr<const pdb::TiPdb<double>> instance,
-                     logic::Formula sentence, bool degraded,
-                     int64_t submitted_ns, int64_t admitted_ns,
+                     std::shared_ptr<pqe::PreparedQuery> handle,
+                     logic::Formula sentence, std::string prepared_key,
+                     bool degraded, int64_t submitted_ns, int64_t admitted_ns,
                      std::shared_ptr<PendingQuery> pending) {
   // The request context travelled here through ThreadPool::Post;
   // ctx.span_id is the serve.request root allocated at submission.
@@ -353,6 +406,7 @@ void Engine::Execute(TenantState* tenant,
                            /*depth=*/1);
 
   StatusOr<QueryResult> outcome(InternalError("query never executed"));
+  std::shared_ptr<pqe::PreparedQuery> evicted;
   {
     IPDB_OBS_SPAN("serve.execute", "serve");
 
@@ -365,11 +419,26 @@ void Engine::Execute(TenantState* tenant,
         ToQueryOptions(tenant->config, &budget, TimePointFromNs(admitted_ns),
                        degraded, &cancel_);
 
-    StatusOr<pqe::QueryAnswer> answer =
-        pqe::QueryProbability(*instance, sentence, options);
+    const bool miss = handle == nullptr;
+    StatusOr<pqe::QueryAnswer> answer = [&]() -> StatusOr<pqe::QueryAnswer> {
+      if (miss) {
+        StatusOr<pqe::PreparedQuery> compiled =
+            pqe::PreparedQuery::Compile(instance->store(), sentence);
+        if (!compiled.ok()) return compiled.status();
+        handle =
+            std::make_shared<pqe::PreparedQuery>(std::move(compiled).value());
+      }
+      return handle->Answer(options);
+    }();
     if (!answer.ok()) {
       outcome = answer.status();
     } else {
+      // Only a handle that answered becomes resident, so a text whose
+      // answer fails fails again and is never a prepared hit. The handle
+      // it evicts is freed after the answer is handed over.
+      if (miss) {
+        evicted = tenant->InsertPrepared(std::move(prepared_key), handle);
+      }
       QueryResult result;
       result.answer = answer.value();
       result.degraded = degraded;
@@ -450,6 +519,11 @@ StatusOr<TenantUsage> Engine::Usage(const std::string& tenant) const {
     usage.shed = state.shed.load(std::memory_order_relaxed);
     usage.completed = state.completed.load(std::memory_order_relaxed);
     usage.errors = state.errors.load(std::memory_order_relaxed);
+    usage.prepared_entries =
+        state.prepared_entries.load(std::memory_order_relaxed);
+    usage.prepared_hits = state.prepared_hits.load(std::memory_order_relaxed);
+    usage.prepared_misses =
+        state.prepared_misses.load(std::memory_order_relaxed);
   }
   usage.cache = kc::GlobalCompiledQueryCache().OwnerStats(owner);
   return usage;

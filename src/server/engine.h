@@ -4,10 +4,13 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "durability/manager.h"
@@ -16,6 +19,7 @@
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
 #include "pdb/ti_pdb.h"
+#include "pqe/prepared.h"
 #include "pqe/wmc.h"
 #include "server/admission.h"
 #include "server/tenant.h"
@@ -25,6 +29,12 @@
 
 namespace ipdb {
 namespace server {
+
+/// Prepared queries each tenant keeps: a tenant's bounded LRU of
+/// pqe::PreparedQuery handles, keyed by (instance, query text), holds at
+/// most this many. A handle is the compiled query (~10 KB) plus the
+/// fingerprint of its circuit, never the circuit itself.
+inline constexpr int kPreparedPerTenant = 128;
 
 /// Engine construction knobs.
 struct EngineOptions {
@@ -88,6 +98,12 @@ struct TenantUsage {
   int64_t shed = 0;
   int64_t completed = 0;
   int64_t errors = 0;
+  /// The tenant's prepared-query LRU: resident handles (at most
+  /// kPreparedPerTenant), and submissions whose text found a handle or
+  /// had to be parsed (malformed texts included).
+  int64_t prepared_entries = 0;
+  int64_t prepared_hits = 0;
+  int64_t prepared_misses = 0;
   /// This tenant's slice of the shared compiled-artifact cache.
   kc::CacheOwnerStats cache;
 };
@@ -103,13 +119,23 @@ struct TenantUsage {
 ///    compiled-artifact cache is accounted (and optionally capped) per
 ///    tenant while artifacts themselves stay shared — two tenants
 ///    asking the structurally same query share one circuit.
-///  * Submission: `Submit` parses the query against the instance's
-///    schema, runs admission (global queue depth + the fallback-rate
-///    signal + the tenant's own in-flight quota), and posts execution
-///    to the pool; `Wait` on the returned handle joins the result.
-///    `Query` is the synchronous convenience. Every query runs
-///    pqe::QueryProbability under its tenant's budget, deadline,
-///    degraded rung and the engine's cancel token.
+///  * Submission: `Submit` looks the (instance, query text) pair up in
+///    the tenant's LRU of prepared queries (at most kPreparedPerTenant
+///    pqe::PreparedQuery handles); a miss parses the text against the
+///    instance's schema (parse errors come back from Submit), and the
+///    worker compiles a handle, which joins the LRU once it has
+///    answered.
+///    Submit then runs admission (global queue depth + the fallback-rate
+///    signal + the tenant's own in-flight quota) and posts execution to
+///    the pool; `Wait` on the returned handle joins the result. `Query`
+///    is the synchronous convenience. Every query is answered by its
+///    handle's governed ladder (PreparedQuery::Answer) under its
+///    tenant's budget, deadline, degraded rung and the engine's cancel
+///    token, so a repeated text skips parsing and compiling, and while
+///    the store's structure is unchanged its circuit answer skips
+///    grounding too: one keyed artifact-cache probe, then the memoized
+///    or re-evaluated answer. A text whose answer fails never becomes
+///    resident.
 ///  * Shutdown: `Stop` rejects new admissions, cancels in-flight
 ///    queries through the engine-wide CancelToken (they drain as
 ///    degraded-but-clean answers), drains the pool, and freezes a
@@ -201,6 +227,16 @@ class Engine {
 
  private:
   struct TenantState {
+    /// The prepared handle of `key` (see PreparedKey), moved to the front
+    /// of the LRU; null when absent. Counts a hit or a miss.
+    std::shared_ptr<pqe::PreparedQuery> FindPrepared(std::string_view key);
+    /// Inserts `handle` under `key` at the front and returns the handle
+    /// evicted from the back beyond kPreparedPerTenant, if any, for the
+    /// caller to free off the answer's path; a no-op when a racing
+    /// submission of the same text inserted its handle first.
+    std::shared_ptr<pqe::PreparedQuery> InsertPrepared(
+        std::string key, std::shared_ptr<pqe::PreparedQuery> handle);
+
     TenantConfig config;
     kc::CacheOwner owner = 0;
     std::atomic<int64_t> in_flight{0};
@@ -218,6 +254,20 @@ class Engine {
     uint64_t sample_period = 0;
     std::atomic<uint64_t> sample_counter{0};
 
+    /// The prepared-query LRU, front = most recently used. The index
+    /// keys view the list entries' own key strings.
+    struct Prepared {
+      std::string key;
+      std::shared_ptr<pqe::PreparedQuery> handle;
+    };
+    std::mutex prepared_mu;
+    std::list<Prepared> prepared;  // guarded by prepared_mu
+    std::unordered_map<std::string_view, std::list<Prepared>::iterator>
+        prepared_index;  // guarded by prepared_mu
+    std::atomic<int64_t> prepared_entries{0};
+    std::atomic<int64_t> prepared_hits{0};
+    std::atomic<int64_t> prepared_misses{0};
+
     bool SampleTrace() {
       if (sample_period == 0) return false;
       return sample_counter.fetch_add(1, std::memory_order_relaxed) %
@@ -226,15 +276,20 @@ class Engine {
     }
   };
 
-  /// The per-query worker task (runs on the pool). The request's
-  /// TraceContext arrives via the pool's context propagation;
+  /// The per-query worker task (runs on the pool): answers from
+  /// `handle`, the tenant's prepared query, or on a miss (null `handle`)
+  /// compiles one from `sentence` over `instance` and inserts it into the
+  /// tenant's LRU under `prepared_key` once it has answered. The
+  /// request's TraceContext arrives via the pool's context propagation;
   /// `submitted_ns` (request entry) anchors the synthesized
   /// serve.request root span, `admitted_ns` the budget deadline and the
   /// serve.queue wait span.
   void Execute(TenantState* tenant,
                std::shared_ptr<const pdb::TiPdb<double>> instance,
-               logic::Formula sentence, bool degraded, int64_t submitted_ns,
-               int64_t admitted_ns, std::shared_ptr<PendingQuery> pending);
+               std::shared_ptr<pqe::PreparedQuery> handle,
+               logic::Formula sentence, std::string prepared_key,
+               bool degraded, int64_t submitted_ns, int64_t admitted_ns,
+               std::shared_ptr<PendingQuery> pending);
 
   /// Loads every instance under the durability root; returns the count
   /// and records the first per-instance failure (boot continues).

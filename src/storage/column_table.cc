@@ -90,25 +90,27 @@ StatusOr<int64_t> ColumnTable::Insert(const uint32_t* ids, double prob) {
 void ColumnTable::EraseRow(int64_t row) {
   IPDB_CHECK_GE(row, 0);
   IPDB_CHECK_LT(row, num_rows());
+  const uint32_t erased = static_cast<uint32_t>(row);
+  // The row's run entry: rows are distinct, so narrowing on its full key
+  // is one lower bound.
+  std::vector<uint32_t> key(columns_.size());
+  for (size_t c = 0; c < columns_.size(); ++c) key[c] = columns_[c][erased];
+  const RunRange match = PrefixRange(key.data(), arity());
+  IPDB_CHECK(!match.empty() && sorted_row(match.begin) == erased);
+  sorted_.erase(sorted_.begin() + static_cast<ptrdiff_t>(match.begin));
+  // Every row index above it shifts down (a branch-free pass).
+  for (uint32_t& entry : sorted_) entry -= entry > erased ? 1 : 0;
   for (auto& column : columns_) {
     column.erase(column.begin() + static_cast<ptrdiff_t>(row));
   }
   probs_.erase(probs_.begin() + static_cast<ptrdiff_t>(row));
-  // Drop the run entry for `row`; every index above it shifts down.
-  auto out = sorted_.begin();
-  for (uint32_t entry : sorted_) {
-    if (static_cast<int64_t>(entry) == row) continue;
-    *out++ = entry > static_cast<uint32_t>(row) ? entry - 1 : entry;
-  }
-  sorted_.pop_back();
-  // Same renumbering for the exact side table.
-  auto exact_out = exact_.begin();
-  for (auto& entry : exact_) {
-    if (static_cast<int64_t>(entry.first) == row) continue;
-    if (entry.first > static_cast<uint32_t>(row)) --entry.first;
-    *exact_out++ = std::move(entry);
-  }
-  exact_.erase(exact_out, exact_.end());
+  // The exact side table is sorted by row: drop the row's entry and
+  // renumber the ones after it.
+  auto pos = std::lower_bound(
+      exact_.begin(), exact_.end(), erased,
+      [](const auto& entry, uint32_t k) { return entry.first < k; });
+  if (pos != exact_.end() && pos->first == erased) pos = exact_.erase(pos);
+  for (; pos != exact_.end(); ++pos) --pos->first;
 }
 
 void ColumnTable::SetProbability(int64_t row, double prob) {

@@ -199,17 +199,21 @@ Status TiStore::Erase(const rel::Fact& fact) {
   }
   const auto [r, row] = fact_loc_[static_cast<size_t>(g)];
   tables_[static_cast<size_t>(r)].EraseRow(row);
-  // Rows of relation r above `row` shifted down; global indices above
-  // `g` shift down. Renumber both maps in one pass each.
+  // Rows and global indices both follow insertion order, so every
+  // relation's globals ascend with its rows. The rows of r above `row`
+  // shifted down: they are the facts globals[row..], all above g, and
+  // their fact_loc_ entries now sit one index lower.
   std::vector<int64_t>& globals = row_global_[static_cast<size_t>(r)];
   globals.erase(globals.begin() + static_cast<ptrdiff_t>(row));
   fact_loc_.erase(fact_loc_.begin() + static_cast<ptrdiff_t>(g));
-  for (auto& [rel_id, rel_row] : fact_loc_) {
-    if (rel_id == r && rel_row > row) --rel_row;
+  for (size_t k = row; k < globals.size(); ++k) {
+    --fact_loc_[static_cast<size_t>(globals[k] - 1)].second;
   }
+  // Global indices above g shift down: a suffix of each relation's.
   for (std::vector<int64_t>& per_rel : row_global_) {
-    for (int64_t& global : per_rel) {
-      if (global > g) --global;
+    for (auto it = std::upper_bound(per_rel.begin(), per_rel.end(), g);
+         it != per_rel.end(); ++it) {
+      --*it;
     }
   }
   structure_generation_.fetch_add(1, std::memory_order_release);

@@ -119,8 +119,10 @@ class TiStore {
   /// structure generation.
   StatusOr<int64_t> Insert(const rel::Fact& fact, double prob);
 
-  /// Removes a fact; global indices above it shift down by one (O(n)).
-  /// Structural: bumps the structure generation.
+  /// Removes a fact; global indices above it shift down by one. Costs a
+  /// lookup plus the moves of the index arrays' tails and one pass over
+  /// the relation's sorted run: O(log n) searches, the rest linear but
+  /// branch-free. Structural: bumps the structure generation.
   Status Erase(const rel::Fact& fact);
 
   /// Replaces a fact's marginal (clearing any exact entry). Bumps only
@@ -164,7 +166,8 @@ class TiStore {
   std::vector<ColumnTable> tables_;  // indexed by RelationId
   /// Global fact index -> (relation, row).
   std::vector<std::pair<rel::RelationId, uint32_t>> fact_loc_;
-  /// Per relation: row -> global fact index.
+  /// Per relation: row -> global fact index, ascending (rows and global
+  /// indices both follow insertion order; Erase relies on it).
   std::vector<std::vector<int64_t>> row_global_;
 
   std::atomic<uint64_t> structure_generation_{0};

@@ -2,7 +2,7 @@
 /// it emitted again, so a --benchmark_filter run keeps the rest of its
 /// suite and a recorded row of a deleted benchmark stays as a baseline.
 /// And its rows: ns_per_op is nanoseconds whatever unit a benchmark
-/// displays in.
+/// displays in, and a fresh row records its host.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +15,7 @@
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "bench_json.h"
 #include "json_reader.h"
@@ -61,6 +62,68 @@ TEST(BenchJsonTest, MergeReplacesOnlyTheRowsThisRunEmitted) {
                                                  {"storage/BM_A/2", 2.0},
                                                  {"storage/BM_B", 3.0},
                                                  {"other/BM_A", 4.0}}));
+  std::remove(path);
+}
+
+/// The rows of the file at `path`, parsed.
+std::vector<testjson::JsonValue> ReadResults(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  testjson::JsonValue doc;
+  EXPECT_TRUE(testjson::JsonParser(text.str()).Parse(&doc)) << text.str();
+  const testjson::JsonValue* results = doc.Find("results");
+  return results == nullptr ? std::vector<testjson::JsonValue>{}
+                            : results->array;
+}
+
+TEST(BenchJsonTest, FreshRowsCarryTheirHost) {
+  testjson::JsonValue row;
+  ASSERT_TRUE(testjson::JsonParser(ResultLine("storage", "BM_A", 1.0, 10,
+                                              {{"facts", 3.0}}))
+                  .Parse(&row));
+  const testjson::JsonValue* host = row.Find("host");
+  ASSERT_NE(host, nullptr);
+  ASSERT_NE(host->Find("nproc"), nullptr);
+  EXPECT_GE(host->Find("nproc")->number, 1.0);
+  for (const char* field : {"cpu_model", "compiler", "cxx_flags",
+                            "build_type", "ipdb_observability",
+                            "source_id"}) {
+    ASSERT_NE(host->Find(field), nullptr) << field;
+    EXPECT_EQ(host->Find(field)->kind, testjson::JsonValue::Kind::kString)
+        << field;
+  }
+  EXPECT_FALSE(host->Find("source_id")->string.empty());
+  // The counters and the (suite, op) identity read as before.
+  EXPECT_EQ(row.Find("op")->string, "BM_A");
+  EXPECT_EQ(row.Find("counters")->Find("facts")->number, 3.0);
+}
+
+TEST(BenchJsonTest, MergeKeepsAnUnstampedRecordedRow) {
+  char path[] = "/tmp/ipdb_bench_json_XXXXXX";
+  const int fd = ::mkstemp(path);
+  ASSERT_GE(fd, 0);
+  ::close(fd);
+  {
+    // A file written before rows carried a host.
+    std::ofstream out(path);
+    out << "{\n  \"schema\": \"ipdb-bench-v1\",\n  \"results\": [\n"
+        << "    {\"suite\": \"storage\", \"op\": \"BM_Old\", "
+           "\"ns_per_op\": 7, \"iterations\": 1},\n"
+        << "    {\"suite\": \"storage\", \"op\": \"BM_A\", "
+           "\"ns_per_op\": 9, \"iterations\": 1}\n  ]\n}\n";
+  }
+  MergeIntoFile(path, {ResultLine("storage", "BM_A", 5.0, 10, {})});
+  std::map<std::string, const testjson::JsonValue*> rows;
+  const std::vector<testjson::JsonValue> results = ReadResults(path);
+  for (const testjson::JsonValue& row : results) {
+    rows[row.Find("op")->string] = &row;
+  }
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows["BM_Old"]->Find("ns_per_op")->number, 7.0);
+  EXPECT_EQ(rows["BM_Old"]->Find("host"), nullptr);
+  EXPECT_EQ(rows["BM_A"]->Find("ns_per_op")->number, 5.0);
+  EXPECT_NE(rows["BM_A"]->Find("host"), nullptr);
   std::remove(path);
 }
 

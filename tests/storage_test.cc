@@ -497,21 +497,25 @@ TEST(StorageInvalidationTest, ProbabilityUpdateKeepsCircuitRefreshesAnswer) {
   ASSERT_TRUE(store->UpdateProbability(ChainR(2), 0.9).ok());
   EXPECT_EQ(store->structure_generation(), structure_before);
   // The fact set (hence the lineage and circuit) is unchanged: the
-  // refresh re-evaluates the held circuit on the new marginals without
-  // probing the cache, let alone compiling.
+  // refresh fetches the circuit by the handle's fingerprint, one keyed
+  // hit, and re-evaluates it on the new marginals without grounding, let
+  // alone compiling.
   StatusOr<double> refreshed = prepared.value().Query();
   ASSERT_TRUE(refreshed.ok());
   EXPECT_NEAR(refreshed.value(), BruteForceAnswer(store, sentence), 1e-9);
   EXPECT_EQ(prepared.value().incremental_refreshes(), 1);
   EXPECT_EQ(prepared.value().rebuilds(), 0);
   EXPECT_EQ(cache.misses(), 1);
-  EXPECT_EQ(cache.hits(), 0);
+  EXPECT_EQ(cache.hits(), 1);
 
-  // Untouched store: the memoized answer is served as-is.
+  // Untouched store: the memoized answer is served as-is, after one more
+  // keyed hit.
   StatusOr<double> memoized = prepared.value().Query();
   ASSERT_TRUE(memoized.ok());
   EXPECT_EQ(memoized.value(), refreshed.value());
   EXPECT_EQ(prepared.value().incremental_refreshes(), 1);
+  EXPECT_EQ(cache.misses(), 1);
+  EXPECT_EQ(cache.hits(), 2);
 
   // Exact update round-trips through the side table.
   ASSERT_TRUE(store
@@ -708,6 +712,90 @@ TEST(TiStoreTest, ErasingARelationsLastFactLeavesItEmptyButUsable) {
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(store->FactAt(back.value()), only);
   EXPECT_EQ(store->ProbAt(back.value()), 0.25);
+}
+
+/// Erase renumbers only the rows and global indices that moved. A seeded
+/// interleaving of Insert, Erase, UpdateProbability and its exact variant
+/// over three relations of arity 1-3, checked after every step against a
+/// model of the store in global order: both index maps invert each
+/// other, every fact is found at its index with its marginal and exact
+/// entry, and each relation's global indices ascend with its rows.
+TEST(TiStoreTest, EraseKeepsTheNumberingConsistent) {
+  rel::Schema schema({{"R", 1}, {"S", 2}, {"U", 3}});
+  Pcg32 rng(0xe2a5e);
+  const auto random_fact = [&]() {
+    const rel::RelationId r = static_cast<rel::RelationId>(rng.NextBounded(3));
+    std::vector<rel::Value> args;
+    for (int i = 0; i < schema.arity(r); ++i) {
+      args.push_back(rel::Value::Int(static_cast<int>(rng.NextBounded(4))));
+    }
+    return rel::Fact(r, std::move(args));
+  };
+  struct Entry {
+    rel::Fact fact;
+    double prob;
+    bool exact;  // the marginal is the exact 1/4
+  };
+  std::vector<Entry> model;  // in global order
+  TiStore::Builder builder(schema);
+  for (int i = 0; i < 24; ++i) {
+    const rel::Fact fact = random_fact();
+    bool known = false;
+    for (const Entry& entry : model) known = known || entry.fact == fact;
+    if (known) continue;
+    const double prob = 0.05 + 0.9 * rng.NextDouble();
+    builder.Add(fact, prob);
+    model.push_back({fact, prob, false});
+  }
+  std::shared_ptr<TiStore> store = builder.Finish().value();
+
+  for (int step = 0; step < 2000; ++step) {
+    const rel::Fact fact = random_fact();
+    int64_t at = -1;
+    for (size_t g = 0; g < model.size(); ++g) {
+      if (model[g].fact == fact) at = static_cast<int64_t>(g);
+    }
+    const uint32_t op = rng.NextBounded(4);
+    const double prob = 0.05 + 0.9 * rng.NextDouble();
+    if (at < 0) {
+      ASSERT_TRUE(store->Insert(fact, prob).ok()) << "step " << step;
+      model.push_back({fact, prob, false});
+    } else if (op < 2) {
+      ASSERT_TRUE(store->Erase(fact).ok()) << "step " << step;
+      model.erase(model.begin() + at);
+    } else if (op == 2) {
+      ASSERT_TRUE(store->UpdateProbability(fact, prob).ok());
+      model[static_cast<size_t>(at)].prob = prob;
+      model[static_cast<size_t>(at)].exact = false;
+    } else {
+      ASSERT_TRUE(
+          store->UpdateProbabilityExact(fact, math::Rational::Ratio(1, 4))
+              .ok());
+      model[static_cast<size_t>(at)].prob = 0.25;
+      model[static_cast<size_t>(at)].exact = true;
+    }
+
+    ASSERT_EQ(store->num_facts(), static_cast<int64_t>(model.size()));
+    for (int64_t g = 0; g < store->num_facts(); ++g) {
+      const Entry& entry = model[static_cast<size_t>(g)];
+      ASSERT_EQ(store->global_index(store->fact_rel(g), store->fact_row(g)), g)
+          << "step " << step;
+      ASSERT_EQ(store->FactAt(g), entry.fact) << "step " << step;
+      ASSERT_EQ(store->FindFact(entry.fact), g) << "step " << step;
+      ASSERT_EQ(store->ProbAt(g), entry.prob) << "step " << step;
+      const math::Rational* exact = store->ExactAt(g);
+      ASSERT_EQ(exact != nullptr, entry.exact) << "step " << step;
+      if (exact != nullptr) {
+        ASSERT_EQ(*exact, math::Rational::Ratio(1, 4));
+      }
+    }
+    for (rel::RelationId r = 0; r < schema.num_relations(); ++r) {
+      for (int64_t row = 1; row < store->table(r).num_rows(); ++row) {
+        ASSERT_LT(store->global_index(r, row - 1), store->global_index(r, row))
+            << "step " << step;
+      }
+    }
+  }
 }
 
 TEST(TiStoreTest, MutationsOfAnErasedFactAreInvalidArgument) {
